@@ -4,7 +4,10 @@ The convolution operator integrates f(z - Gamma(w)) against the affine
 arclength weight over a disk; its restricted weak-type pairing against a
 pair of measurable sets in C^3 is estimated by Monte Carlo with mandatory
 seeds.  The extension operator is an oscillatory integral over the support
-disk, evaluated on a polar tensor grid.
+disk, evaluated on a polar tensor grid by one kernel that takes a batch of
+points: ``extension`` passes one point, and ``norm_ratio_scan`` evaluates
+each (function, dilation) once over its whole grid.  The kernel works
+through the batch in chunks, and its values do not depend on the chunk size.
 
 The frequency pairing z . Gamma(w) is the real inner product of C^3 read as
 R^6: sum_j Re(z_j) Re(Gamma_j) + Im(z_j) Im(Gamma_j).  This convention is
@@ -19,10 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curves import CurveGamma, lambda_weight, torsion_triple
+from .curves import CurveGamma, lambda_weight
 from .errors import NonConvergence, ZeroVolume
 
 _BALL6_UNIT_VOLUME = math.pi**3 / 6.0
+
+# Points per chunk of the extension kernel: at the CLI default n_quad = 16
+# (512 polar nodes) one complex (points x nodes) temporary is 1 MB.
+_CHUNK_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -206,8 +213,7 @@ def convolve(curve: CurveGamma, f, z, disk_radius: float, n_mc: int, seed: int):
         raise ValueError("n_mc must be positive")
     rng = np.random.default_rng(seed)
     w = _disk_samples(n_mc, disk_radius, rng)
-    tt = torsion_triple(curve)
-    weights = lambda_weight(tt, w)
+    weights = lambda_weight(curve.torsion, w)
     pts = np.asarray(z, dtype=np.complex128).reshape(1, 3) - curve(w)
     samples = np.asarray(f(pts)) * weights
     area = math.pi * disk_radius**2
@@ -232,8 +238,7 @@ def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
     rng = np.random.default_rng(seed)
     z = F.sample(n_mc, rng)
     w = _disk_samples(n_mc, disk_radius, rng)
-    tt = torsion_triple(curve)
-    weights = lambda_weight(tt, w)
+    weights = lambda_weight(curve.torsion, w)
     inside = E.contains(z - curve(w))
     samples = np.where(inside, weights, 0.0)
     scale = F.volume * math.pi * disk_radius**2
@@ -265,11 +270,40 @@ def _polar_grid(support_radius: float, n_quad: int):
     return nodes.ravel(), weights.ravel()
 
 
-def _real_pairing(z, gamma_vals: np.ndarray) -> np.ndarray:
-    zz = np.asarray(z, dtype=np.complex128).reshape(3)
-    return (
-        gamma_vals.real @ zz.real + gamma_vals.imag @ zz.imag
-    )
+def _extension_values(curve: CurveGamma, f, zs, n_quad: int,
+                      support_radius: float) -> np.ndarray:
+    """Extension integral of f at each of the (m, 3) points ``zs``.
+
+    The polar grid, Gamma, f and lambda at its nodes are built once; the
+    points are then evaluated _CHUNK_POINTS rows at a time as a C-contiguous
+    (points x nodes) phase matrix.  The phase is summed element-wise in a
+    fixed order, (Re z1 Re G1 + Re z2 Re G2 + Re z3 Re G3) + (Im z1 Im G1 +
+    ...), and each row is reduced on its own, so every value is independent
+    of the chunk size and of the other points.
+    """
+    if n_quad < 4:
+        raise ValueError("n_quad must be at least 4")
+    nodes, weights = _polar_grid(support_radius, n_quad)
+    gamma = curve(nodes)
+    g_re = np.ascontiguousarray(gamma.real.T)
+    g_im = np.ascontiguousarray(gamma.imag.T)
+    fw = np.asarray(f(nodes))
+    lam = lambda_weight(curve.torsion, nodes)
+    zs = np.asarray(zs, dtype=np.complex128).reshape(-1, 3)
+    values = np.empty(zs.shape[0], dtype=np.complex128)
+    for start in range(0, zs.shape[0], _CHUNK_POINTS):
+        chunk = zs[start:start + _CHUNK_POINTS]
+        z_re, z_im = chunk.real, chunk.imag
+        phase = z_re[:, 0:1] * g_re[0]
+        phase += z_re[:, 1:2] * g_re[1]
+        phase += z_re[:, 2:3] * g_re[2]
+        im_part = z_im[:, 0:1] * g_im[0]
+        im_part += z_im[:, 1:2] * g_im[1]
+        im_part += z_im[:, 2:3] * g_im[2]
+        phase += im_part
+        integrand = np.exp(1j * phase) * fw * lam
+        values[start:start + chunk.shape[0]] = np.sum(weights * integrand, axis=1)
+    return values
 
 
 def extension(curve: CurveGamma, f, z, n_quad: int, support_radius: float, *,
@@ -281,24 +315,11 @@ def extension(curve: CurveGamma, f, z, n_quad: int, support_radius: float, *,
     stable to ``rel_tol`` times the weighted L1 mass of f, else
     NonConvergence is raised.
     """
-    if n_quad < 4:
-        raise ValueError("n_quad must be at least 4")
-    tt = torsion_triple(curve)
-
-    def one_pass(nq):
-        nodes, weights = _polar_grid(support_radius, nq)
-        gamma_vals = curve(nodes)
-        phase = np.exp(1j * _real_pairing(z, gamma_vals))
-        fw = np.asarray(f(nodes))
-        lam = lambda_weight(tt, nodes)
-        integrand = phase * fw * lam
-        value = complex(np.sum(weights * integrand))
-        mass = float(np.sum(weights * np.abs(fw) * lam))
-        return value, mass
-
-    value, mass = one_pass(n_quad)
+    zs = np.asarray(z, dtype=np.complex128).reshape(1, 3)
+    value = complex(_extension_values(curve, f, zs, n_quad, support_radius)[0])
     if check_convergence:
-        value2, mass2 = one_pass(2 * n_quad)
+        value2 = complex(_extension_values(curve, f, zs, 2 * n_quad, support_radius)[0])
+        mass2 = weighted_l1_mass(curve, f, 2 * n_quad, support_radius)
         tol = rel_tol * max(abs(value2), mass2, 1e-12)
         if abs(value2 - value) > tol:
             raise NonConvergence(
@@ -310,16 +331,15 @@ def extension(curve: CurveGamma, f, z, n_quad: int, support_radius: float, *,
 
 def weighted_l1_mass(curve: CurveGamma, f, n_quad: int, support_radius: float) -> float:
     """Discretized weighted L1 norm of f on the same polar grid."""
-    tt = torsion_triple(curve)
     nodes, weights = _polar_grid(support_radius, n_quad)
-    return float(np.sum(weights * np.abs(np.asarray(f(nodes))) * lambda_weight(tt, nodes)))
+    return float(np.sum(weights * np.abs(np.asarray(f(nodes)))
+                        * lambda_weight(curve.torsion, nodes)))
 
 
 def weighted_lp_norm(curve: CurveGamma, f, p: float, n_quad: int,
                      support_radius: float) -> float:
-    tt = torsion_triple(curve)
     nodes, weights = _polar_grid(support_radius, n_quad)
-    vals = np.abs(np.asarray(f(nodes))) ** p * lambda_weight(tt, nodes)
+    vals = np.abs(np.asarray(f(nodes))) ** p * lambda_weight(curve.torsion, nodes)
     return float(np.sum(weights * vals) ** (1.0 / p))
 
 
@@ -346,43 +366,43 @@ def norm_ratio_scan(curve: CurveGamma, pq_pairs, family, grid: GridSpec, *,
                     n_quad: int = 24, dilations=(1.0,)) -> dict:
     """Discretized output/input norm ratios; evidence only, no assertions.
 
-    ``family`` is a list of (name, f, support_radius).  For each pair, test
-    function, and dilation s the scan evaluates the extension on the grid,
-    forms the L^q grid norm over the L^p weighted input norm of
-    f_s(w) = f(s w), and reports per-(pair, function) flatness across the
-    dilations (max ratio over min ratio).
+    ``family`` is a list of (name, f, support_radius).  The extension of
+    each dilate f_s(w) = f(s w) depends on neither exponent, so it is
+    evaluated once per (function, dilation) over the whole grid by the
+    shared kernel of ``extension``, with values that do not depend on the
+    kernel's chunk size.  For each pair, test function, and dilation s the
+    scan then forms the L^q grid norm over the L^p weighted input norm of
+    f_s, and reports per-(pair, function) flatness across the dilations
+    (max ratio over min ratio).
     """
     pts = grid.points()
+    dilates = []
+    for name, f, support in family:
+        for s in dilations:
+            fs = (lambda func, sc: (lambda w: func(sc * w)))(f, s)
+            radius = support / s
+            mags = np.abs(_extension_values(curve, fs, pts, n_quad, radius))
+            dilates.append((name, s, fs, radius, mags))
     rows = []
     for pair in pq_pairs:
-        for name, f, support in family:
-            for s in dilations:
-                fs = (lambda func, sc: (lambda w: func(sc * w)))(f, s)
-                radius = support / s
-                vals = np.array(
-                    [
-                        extension(curve, fs, z, n_quad, radius, check_convergence=False)
-                        for z in pts
-                    ]
-                )
-                mags = np.abs(vals)
-                if math.isinf(pair.q):
-                    lq = float(np.max(mags))
-                else:
-                    lq = float(np.sum(mags**pair.q * grid.cell_volume) ** (1.0 / pair.q))
-                lp = weighted_lp_norm(curve, fs, pair.p, n_quad, radius)
-                rows.append(
-                    {
-                        "p": pair.p,
-                        "q": pair.q,
-                        "theta": pair.theta,
-                        "function": name,
-                        "dilation": s,
-                        "lq_norm": lq,
-                        "lp_norm": lp,
-                        "ratio": lq / lp if lp > 0 else math.inf,
-                    }
-                )
+        for name, s, fs, radius, mags in dilates:
+            if math.isinf(pair.q):
+                lq = float(np.max(mags))
+            else:
+                lq = float(np.sum(mags**pair.q * grid.cell_volume) ** (1.0 / pair.q))
+            lp = weighted_lp_norm(curve, fs, pair.p, n_quad, radius)
+            rows.append(
+                {
+                    "p": pair.p,
+                    "q": pair.q,
+                    "theta": pair.theta,
+                    "function": name,
+                    "dilation": s,
+                    "lq_norm": lq,
+                    "lp_norm": lp,
+                    "ratio": lq / lp if lp > 0 else math.inf,
+                }
+            )
     flatness = {}
     for row in rows:
         key = (row["p"], row["q"], row["function"])

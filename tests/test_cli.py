@@ -174,6 +174,7 @@ class TestOperatorCommands:
         assert res.exit_code == 0, res.output
         payload = json.loads((tmp_path / "extension_endpoint.json").read_text())
         assert payload["violations"] == 0
+        validate(payload, "extension_endpoint.schema.json")
 
 
 class TestReplay:

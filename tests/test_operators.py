@@ -7,6 +7,7 @@ from curvetorsion import (
     BallSpec,
     GridSpec,
     MeasurableSet,
+    NonConvergence,
     PQPair,
     ZeroVolume,
     ball_measure_check,
@@ -15,9 +16,12 @@ from curvetorsion import (
     norm_ratio_scan,
     pairing,
     weighted_l1_mass,
+    weighted_lp_norm,
 )
+from curvetorsion import operators
+from curvetorsion.cli import _scan_family
 from curvetorsion.curves import CurveGamma
-from curvetorsion.operators import _complex_stderr
+from curvetorsion.operators import _complex_stderr, _extension_values
 
 from conftest import poly
 
@@ -176,6 +180,37 @@ class TestExtension:
                 val = abs(extension(moment_curve, f, z, 24, support, check_convergence=False))
                 assert val <= mass * (1 + 1e-12)
 
+    # Every 20th point of the 4^6 grid: coordinates 0 never occur, +-4/3 and
+    # +-4 both do.
+    KERNEL_POINTS = GridSpec(4.0, 4).points()[::20]
+
+    @pytest.mark.parametrize("name,f,support", _scan_family(),
+                             ids=[name for name, _, _ in _scan_family()])
+    def test_kernel_matches_single_points(self, moment_curve, name, f, support):
+        batched = _extension_values(moment_curve, f, self.KERNEL_POINTS, 16, support)
+        single = np.array([extension(moment_curve, f, z, 16, support, check_convergence=False)
+                           for z in self.KERNEL_POINTS])
+        assert np.array_equal(batched, single)
+
+    def test_kernel_chunk_size_invariant(self, moment_curve, monkeypatch):
+        results = []
+        for chunk in (1, 7, operators._CHUNK_POINTS):
+            monkeypatch.setattr(operators, "_CHUNK_POINTS", chunk)
+            results.append([_extension_values(moment_curve, f, self.KERNEL_POINTS, 16, support)
+                            for _, f, support in _scan_family()])
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.array_equal(a, b)
+
+    def test_n_quad_below_four_rejected(self, moment_curve):
+        with pytest.raises(ValueError):
+            extension(moment_curve, GAUSS, np.zeros(3), 3, 3.0)
+
+    def test_convergence_failure_raises(self, moment_curve):
+        z = np.full(3, 40.0)
+        with pytest.raises(NonConvergence):
+            extension(moment_curve, UNIT_DISK, z, 4, 1.0)
+
 
 class TestPQPair:
     def test_theta_family(self):
@@ -208,3 +243,52 @@ class TestNormRatioScan:
         assert len(keys) == 4 * 2
         for entry in table["flatness"]:
             assert entry["flatness"] >= 1.0
+
+    def test_rows_match_single_point_reference(self, moment_curve):
+        grid = GridSpec(half_width=2.5, points_per_axis=2)
+        family = _scan_family()
+        pairs = [PQPair.from_theta(0.5), PQPair(p=1.0, q=math.inf)]
+        dilations = (0.5, 2.0)
+        table = norm_ratio_scan(moment_curve, pairs, family, grid, n_quad=8,
+                                dilations=dilations)
+        reference = []
+        for pair in pairs:
+            for name, f, support in family:
+                for s in dilations:
+                    fs = (lambda func, sc: (lambda w: func(sc * w)))(f, s)
+                    radius = support / s
+                    mags = np.abs(np.array([
+                        extension(moment_curve, fs, z, 8, radius, check_convergence=False)
+                        for z in grid.points()
+                    ]))
+                    if math.isinf(pair.q):
+                        lq = float(np.max(mags))
+                    else:
+                        lq = float(np.sum(mags**pair.q * grid.cell_volume) ** (1.0 / pair.q))
+                    lp = weighted_lp_norm(moment_curve, fs, pair.p, 8, radius)
+                    reference.append({"p": pair.p, "q": pair.q, "theta": pair.theta,
+                                      "function": name, "dilation": s, "lq_norm": lq,
+                                      "lp_norm": lp, "ratio": lq / lp})
+        assert table["rows"] == reference
+
+    def test_extra_pair_adds_no_grid_evaluation(self, moment_curve):
+        calls = []
+
+        def counted(w):
+            calls.append(w.shape[0])
+            return GAUSS(w)
+
+        grid = GridSpec(half_width=2.0, points_per_axis=2)
+        dilations = (1.0, 2.0)
+
+        def count_calls(pairs):
+            calls.clear()
+            norm_ratio_scan(moment_curve, pairs, [("bump", counted, 3.0)], grid,
+                            n_quad=8, dilations=dilations)
+            return len(calls)
+
+        one = count_calls([PQPair.from_theta(0.5)])
+        two = count_calls([PQPair.from_theta(0.5), PQPair(p=1.0, q=math.inf)])
+        # The added pair costs one L^p input norm per dilation and nothing
+        # per grid point.
+        assert two - one == len(dilations)
