@@ -64,7 +64,7 @@ from .operators import (
     weighted_l1_mass,
     weighted_lp_norm,
 )
-from .polynomials import ComplexPolynomial, RootSet, det2, det3, eval_poly, roots
+from .polynomials import ComplexPolynomial, RootSet, det2, det3, roots
 from .verification import (
     RatioSample,
     VerificationReport,
@@ -87,7 +87,7 @@ __all__ = [
     "TorsionTriple", "Triple", "VerificationReport", "WeakTypeReport",
     "ZeroVolume", "admissible", "affine_apply", "affine_retry",
     "ball_measure_check", "classify_regions", "convexify", "convolve",
-    "d1_decompose", "d2_decompose", "det2", "det3", "eval_poly", "extension",
+    "d1_decompose", "d2_decompose", "det2", "det3", "extension",
     "geometric_ratio", "jacobian_direct", "jacobian_identity_trials", "jacobian_integral",
     "lambda_weight", "modulus_comparability_check", "norm_ratio_scan",
     "normalize_at_origin", "offspring_curve", "pairing", "phi_alt", "phi_sum",

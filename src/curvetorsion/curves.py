@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonConvergence, SingularAtOrigin
-from .polynomials import ComplexPolynomial, det2, det3
+from .errors import NonConvergence, SegmentHitsSingularity, SingularAtOrigin
+from .polynomials import ComplexPolynomial, det2, det3, roots
 
 # Coefficient-residue factor below which a computed determinant counts as
 # identically zero (cancellation in the cofactor expansion is exact in theory
@@ -99,6 +99,23 @@ class TorsionTriple:
 
     def polys(self):
         return (self.L1, self.L2, self.L3)
+
+    @cached_property
+    def singular_points(self) -> tuple:
+        """Zeros of L1 and L2, the poles of the nested Jacobian integrand.
+
+        Raises SegmentHitsSingularity when L1 or L2 vanishes identically.
+        """
+        pts = []
+        for poly in (self.L1, self.L2):
+            p = poly.trimmed(1e-12)
+            if p.degree >= 1:
+                pts.extend(r for r, _ in roots(p, 1e-7).roots)
+            elif p.degree < 0:
+                raise SegmentHitsSingularity(
+                    "an integrand denominator polynomial vanishes identically"
+                )
+        return tuple(pts)
 
 
 def torsion_triple(curve: CurveGamma) -> TorsionTriple:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,6 +122,14 @@ def exponent_exclusions_ok(sig: SigmaExponents) -> bool:
             if 3 * sig.k_sub == sig.k + i:
                 return False
     return True
+
+
+class Comparability(NamedTuple):
+    """|L| ~ c * |z - center|**k on a region."""
+
+    center: complex
+    k: int
+    c: float
 
 
 @dataclass
@@ -326,11 +335,53 @@ def _build_region(
 # first decomposition: Voronoi cells x sectors x half-distance layers
 
 
-def _root_set(Q: ComplexPolynomial, cluster_tol: float):
-    try:
-        return roots(Q, cluster_tol)
-    except NonConvergence as exc:
-        raise RootFindingFailed(str(exc)) from exc
+@dataclass
+class _Context:
+    """Settings of one decomposition call and its per-call root cache."""
+
+    eps: float
+    m_sectors: int
+    B: float
+    working_radius: float
+    cluster_tol: float
+    dyadic_factor: float
+    root_log: dict = field(default_factory=dict)
+    _roots: dict = field(default_factory=dict)
+
+    @classmethod
+    def create(cls, polys, *, eps, m, thickening, working_radius, cluster_tol,
+               dyadic_factor: float = DEFAULT_DYADIC_FACTOR) -> "_Context":
+        """The working radius defaults to ten times the largest root modulus."""
+        ctx = cls(eps, m, thickening, working_radius, cluster_tol, dyadic_factor)
+        if working_radius is None:
+            rmax = 1.0
+            for p in polys:
+                pt = p.trimmed(1e-12)
+                if pt.degree >= 1:
+                    rs = ctx.root_set(pt)
+                    if rs.roots:
+                        rmax = max(rmax, max(abs(r) for r, _ in rs.roots))
+            ctx.working_radius = 10.0 * rmax
+        return ctx
+
+    @property
+    def half_width(self) -> float:
+        return 1.25 * self.working_radius
+
+    def root_set(self, Q: ComplexPolynomial):
+        """Roots of Q, extracted once per distinct polynomial.
+
+        Callers pass polynomials trimmed at 1e-12, so a polynomial reached
+        through different paths has equal coefficients and one cache entry.
+        """
+        rs = self._roots.get(Q)
+        if rs is None:
+            try:
+                rs = roots(Q, self.cluster_tol)
+            except NonConvergence as exc:
+                raise RootFindingFailed(str(exc)) from exc
+            self._roots[Q] = rs
+        return rs
 
 
 def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
@@ -401,37 +452,38 @@ def _domain_radial_window(b: complex, domain: Region | None):
     return (dmin, dmax)
 
 
-def _d1_cells(Q, domain, eps, ctx, id_prefix):
+def _d1_cells(Q, domain, ctx, id_prefix):
     """Cells of the root-geometry decomposition of Q, clipped to a domain."""
+    eps = ctx.eps
     Qt = Q.trimmed(1e-12)
     if Qt.degree <= 0:
         c0 = abs(Qt.coeffs[0])
         if domain is not None:
             return [D1Cell(domain, domain.center, 0, c0, domain.parent_voronoi)]
-        m = ctx["m_sectors"]
+        m = ctx.m_sectors
         cells = []
         for n in range(m):
             region = _build_region(
                 0.0,
                 (n * eps, (n + 1) * eps),
                 (0.0, math.inf),
-                thickening=ctx["B"],
-                working_half_width=ctx["half_width"],
+                thickening=ctx.B,
+                working_half_width=ctx.half_width,
                 region_id=f"{id_prefix}s{n}",
             )
             if region is not None:
                 cells.append(D1Cell(region, 0.0, 0, c0, 0))
         return cells
 
-    rs = _root_set(Qt, ctx["cluster_tol"])
-    ctx["root_log"][id_prefix] = {
+    rs = ctx.root_set(Qt)
+    ctx.root_log[id_prefix] = {
         "residual": rs.residual,
         "roots": [[complex(r).real, complex(r).imag, int(mu)] for r, mu in rs.roots],
     }
     locs = rs.locations()
     mults = list(rs.multiplicities())
     lead_abs = float(abs(Qt.coeffs[-1]))
-    m = ctx["m_sectors"]
+    m = ctx.m_sectors
     cells = []
     extra_domain = domain.halfplanes if domain is not None else ()
     for j in range(len(mults)):
@@ -451,8 +503,8 @@ def _d1_cells(Q, domain, eps, ctx, id_prefix):
                     b,
                     theta,
                     (lo, hi),
-                    thickening=ctx["B"],
-                    working_half_width=ctx["half_width"],
+                    thickening=ctx.B,
+                    working_half_width=ctx.half_width,
                     extra_halfplanes=tuple(extra_domain) + vor,
                     region_id=f"{id_prefix}v{j}.s{n}.l{li}",
                     parent_voronoi=j,
@@ -470,11 +522,11 @@ def d1_decompose(Q: ComplexPolynomial, domain: Region | None, eps: float, *,
     if Q.trimmed(1e-12).degree <= 0:
         raise ValueError("Q must be nonconstant")
     m = _validate_eps(eps)
-    ctx = _make_ctx(
-        polys=[Q], eps=eps, m=m, thickening=thickening,
-        working_radius=working_radius, cluster_tol=cluster_tol, seed=0,
+    ctx = _Context.create(
+        [Q], eps=eps, m=m, thickening=thickening,
+        working_radius=working_radius, cluster_tol=cluster_tol,
     )
-    return _d1_cells(Q, domain, eps, ctx, "d1:")
+    return _d1_cells(Q, domain, ctx, "d1:")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +539,7 @@ def _radial_structure(Q, b, ctx):
     Returns list of (lo, hi, kind, exponent, constant, scale).
     """
     Qt = Q.trimmed(1e-12)
-    rs = _root_set(Qt, ctx["cluster_tol"])
+    rs = ctx.root_set(Qt)
     lead_abs = float(abs(Qt.coeffs[-1]))
     radii = []
     m0 = 0
@@ -505,7 +557,7 @@ def _radial_structure(Q, b, ctx):
             merged[-1] = (merged[-1][0], merged[-1][1] + mu)
         else:
             merged.append((rho, mu))
-    A = ctx["dyadic_factor"]
+    A = ctx.dyadic_factor
     chains = []
     for rho, mu in merged:
         if chains and rho <= chains[-1][1] * A * A:
@@ -563,8 +615,8 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
                 complex(b),
                 domain.theta_range,
                 (lo2, hi2),
-                thickening=ctx["B"],
-                working_half_width=ctx["half_width"],
+                thickening=ctx.B,
+                working_half_width=ctx.half_width,
                 extra_halfplanes=domain.halfplanes,
                 region_id=f"{domain.region_id}|{id_prefix}{kind[0]}{idx}",
                 parent_voronoi=domain.parent_voronoi,
@@ -585,9 +637,9 @@ def d2_decompose(Q: ComplexPolynomial, b: complex, domain: Region, *,
     """Public second decomposition around center b inside one sector cell."""
     if Q.trimmed(1e-12).degree <= 0:
         raise ValueError("Q must be nonconstant")
-    ctx = _make_ctx(
-        polys=[Q], eps=MAX_APERTURE, m=16, thickening=thickening,
-        working_radius=working_radius, cluster_tol=cluster_tol, seed=0,
+    ctx = _Context.create(
+        [Q], eps=MAX_APERTURE, m=16, thickening=thickening,
+        working_radius=working_radius, cluster_tol=cluster_tol,
         dyadic_factor=dyadic_factor,
     )
     out = _d2_cells(Q, b, domain, ctx, "d2:")
@@ -619,30 +671,6 @@ def convexify(center: complex, theta_range, radial_range, *,
 
 # ---------------------------------------------------------------------------
 # pipeline
-
-
-def _make_ctx(*, polys, eps, m, thickening, working_radius, cluster_tol, seed,
-              dyadic_factor: float = DEFAULT_DYADIC_FACTOR):
-    if working_radius is None:
-        rmax = 1.0
-        for p in polys:
-            pt = p.trimmed(1e-12)
-            if pt.degree >= 1:
-                rs = _root_set(pt, cluster_tol)
-                if rs.roots:
-                    rmax = max(rmax, max(abs(r) for r, _ in rs.roots))
-        working_radius = 10.0 * rmax
-    return {
-        "eps": eps,
-        "m_sectors": m,
-        "B": thickening,
-        "working_radius": working_radius,
-        "half_width": 1.25 * working_radius,
-        "cluster_tol": cluster_tol,
-        "dyadic_factor": dyadic_factor,
-        "seed": seed,
-        "root_log": {},
-    }
 
 
 def _boundary_points(poly, per_edge: int) -> np.ndarray:
@@ -700,10 +728,10 @@ def _child_thickening(theta_range) -> float:
 def _split_region(region: Region, ctx):
     """Split one region into two children (radial first, angular when tight)."""
     r_lo, r_hi = region.radial_range
-    eps = ctx["eps"]
+    eps = ctx.eps
     children_spec = None
     if not math.isfinite(r_hi):
-        mid = ctx["working_radius"] / 16.0 if r_lo == 0.0 else 4.0 * r_lo
+        mid = ctx.working_radius / 16.0 if r_lo == 0.0 else 4.0 * r_lo
         children_spec = [((r_lo, mid), region.theta_range), ((mid, math.inf), region.theta_range)]
     elif r_lo == 0.0:
         children_spec = [((0.0, r_hi / 4.0), region.theta_range), ((r_hi / 4.0, r_hi), region.theta_range)]
@@ -721,7 +749,7 @@ def _split_region(region: Region, ctx):
             theta,
             radial,
             thickening=min(region.thickening, _child_thickening(theta)),
-            working_half_width=ctx["half_width"],
+            working_half_width=ctx.half_width,
             extra_halfplanes=region.halfplanes,
             region_id=f"{region.region_id}.r{i}",
             parent_voronoi=region.parent_voronoi,
@@ -777,7 +805,7 @@ def _refine_regions(regions, named_polys_budgets, ctx, n_samples: int, budget: i
     return out
 
 
-def _measure_comparability(region: Region, ctx, n_samples: int):
+def _measure_comparability(region: Region, polys: dict, n_samples: int):
     """Extremes of |L| / (c |z - b|**k) over the region boundary.
 
     The log of the ratio is harmonic on the cell (roots and centers sit at
@@ -791,7 +819,8 @@ def _measure_comparability(region: Region, ctx, n_samples: int):
     per_edge = max(6, n_samples // max(len(region.sampling_polygon), 1))
     pts = _boundary_points(region.sampling_polygon, per_edge)
     pos_err = 64.0 * 2.220446049250313e-16 * (np.max(np.abs(pts)) + 1e-30)
-    for name, (center, k, c, poly) in region.comparability.items():
+    for name, (center, k, c) in region.comparability.items():
+        poly = polys[name]
         if c == 0.0 or poly.degree < 0:
             stats[name] = {"zero": True}
             continue
@@ -815,6 +844,21 @@ def _measure_comparability(region: Region, ctx, n_samples: int):
     region.comparability_stats = stats
 
 
+def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
+    """Pieces of a domain on which |Q| ~ c * |z - center|**k.
+
+    Gap annuli around b lie on the T0 side.  Dyadic bands, re-decomposed
+    around the roots of Q, and the whole domain for a constant Q lie on
+    the T1 side.  Yields (region, center, k, c, on_T1_side).
+    """
+    for piece in _d2_cells(Q, b, domain, ctx, f"{name}:"):
+        if piece.kind == "dyadic":
+            for cell in _d1_cells(Q, piece.region, ctx, f"{name}i:"):
+                yield cell.region, cell.center, cell.exponent, cell.constant, True
+        else:
+            yield piece.region, b, piece.exponent, piece.constant, piece.kind == "const"
+
+
 def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
                      thickening: float = DEFAULT_THICKENING,
                      dyadic_factor: float = DEFAULT_DYADIC_FACTOR,
@@ -833,6 +877,8 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
     split again by L2 into T00/T01/T10/T11 regions carrying the sigma
     triple from the classification table.  A polynomial with no roots at
     all is classified on the constant side (type x1) with exponent 0.
+    T01 regions record ``sigma.k_sub = 0`` (their table row has no L1
+    exponent); their L1 comparability keeps the measured exponent.
 
     After classification, regions are bisected until the sampled argument
     aperture of each L_i fits the budget (deg L_i + 1) * eps; regions that
@@ -840,130 +886,67 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
     """
     if tt.degenerate:
         raise DegenerateTorsion("torsion vanishes identically")
-    L1, L2, L3 = (p.trimmed(1e-12) for p in tt.polys())
-    degs = {"L1": max(L1.degree, 0), "L2": max(L2.degree, 0), "L3": max(L3.degree, 0)}
+    polys = {name: p.trimmed(1e-12) for name, p in zip(("L1", "L2", "L3"), tt.polys())}
+    degs = {name: max(p.degree, 0) for name, p in polys.items()}
     d = max(degs.values())
     if eps is None:
         m = 28 * (d + 1)
         eps = TAU / m
     else:
         m = _validate_eps(eps)
-    ctx = _make_ctx(
-        polys=[L1, L2, L3], eps=eps, m=m, thickening=thickening,
-        working_radius=working_radius, cluster_tol=cluster_tol, seed=seed,
+    ctx = _Context.create(
+        polys.values(), eps=eps, m=m, thickening=thickening,
+        working_radius=working_radius, cluster_tol=cluster_tol,
         dyadic_factor=dyadic_factor,
     )
+    L1, L2, L3 = polys.values()
 
-    def finish(regions):
-        kept = []
-        for region in regions:
-            sig = SigmaExponents.from_exponents(
-                region.region_type, region._k, region._k_sub, region._k_mid
-            )
-            region.sigma = sig
-            kept.append(region)
-        if refine:
-            budgets = [
-                (name, poly, (degs[name] + 1) * eps)
-                for name, poly in (("L1", L1), ("L2", L2), ("L3", L3))
-            ]
-            kept = _refine_regions(kept, budgets, ctx, refine_samples, region_budget)
-        for region in kept:
-            try:
-                _measure_comparability(region, ctx, comparability_samples)
-            except EmptyRegion:
-                region.comparability_stats = {"unsampled": True}
-        for region in kept:
-            region.comparability = {
-                name: (center, k, c)
-                for name, (center, k, c, _poly) in region.comparability.items()
-            }
-        return DecompositionReport(
-            regions=kept,
-            epsilon_used=eps,
-            thickening_B=thickening,
-            working_radius=ctx["working_radius"],
-            dyadic_factor=dyadic_factor,
-            cluster_tol=cluster_tol,
-            region_budget=region_budget,
-            seed=seed,
-            root_info=ctx["root_log"],
-        )
-
-    def tag(region, rtype, k, k_sub, k_mid, comp):
-        region.region_type = rtype
-        region._k = k
-        region._k_sub = k_sub
-        region._k_mid = k_mid
-        region.comparability = comp
-        return region
-
-    if all(v == 0 for v in degs.values()):
+    if d == 0:
         whole = _build_region(
             0.0, None, (0.0, math.inf),
-            thickening=thickening, working_half_width=ctx["half_width"],
+            thickening=thickening, working_half_width=ctx.half_width,
             region_id="all",
         )
-        c1, c2, c3 = (float(abs(p.coeffs[0])) for p in (L1, L2, L3))
-        tag(whole, "T11", 0, 0, 0, {
-            "L1": (0j, 0, c1, L1), "L2": (0j, 0, c2, L2), "L3": (0j, 0, c3, L3),
-        })
-        return finish([whole])
+        whole.region_type = "T11"
+        whole.sigma = SigmaExponents.from_exponents("T11", 0, 0, 0)
+        whole.comparability = {
+            name: Comparability(0j, 0, float(abs(p.coeffs[0]))) for name, p in polys.items()
+        }
+        regions = [whole]
+    else:
+        regions = []
+        for cell3 in _d1_cells(L3, None, ctx, "L3:"):
+            comp3 = Comparability(cell3.center, cell3.exponent, cell3.constant)
+            for piece1, b1, k1, c1, t1 in _split_by(L1, cell3.center, cell3.region, ctx, "L1"):
+                for region, b2, k2, c2, t2 in _split_by(L2, b1, piece1, ctx, "L2"):
+                    rtype = REGION_TYPES[2 * t1 + t2]
+                    # The T01 sigma row drops k_sub, T11 keeps it; both keep k1 in "L1".
+                    k_sub = 0 if rtype == "T01" else k1
+                    region.region_type = rtype
+                    region.sigma = SigmaExponents.from_exponents(rtype, cell3.exponent, k_sub, k2)
+                    region.comparability = {
+                        "L3": comp3,
+                        "L1": Comparability(b1, k1, c1),
+                        "L2": Comparability(b2, k2, c2),
+                    }
+                    regions.append(region)
 
-    leaves = []
-    for cell3 in _d1_cells(L3, None, eps, ctx, "L3:"):
-        b = cell3.center
-        comp3 = (b, cell3.exponent, cell3.constant, L3)
-        for p1 in _d2_cells(L1, b, cell3.region, ctx, "L1:"):
-            if p1.kind == "gap":
-                comp1 = (b, p1.exponent, p1.constant, L1)
-                for p2 in _d2_cells(L2, b, p1.region, ctx, "L2:"):
-                    if p2.kind == "gap":
-                        leaves.append(tag(
-                            p2.region, "T00", cell3.exponent, p1.exponent, p2.exponent,
-                            {"L3": comp3, "L1": comp1, "L2": (b, p2.exponent, p2.constant, L2)},
-                        ))
-                    elif p2.kind == "dyadic":
-                        for inner in _d1_cells(L2, p2.region, eps, ctx, "L2i:"):
-                            leaves.append(tag(
-                                inner.region, "T01", cell3.exponent, 0, inner.exponent,
-                                {"L3": comp3, "L1": comp1,
-                                 "L2": (inner.center, inner.exponent, inner.constant, L2)},
-                            ))
-                    else:
-                        leaves.append(tag(
-                            p2.region, "T01", cell3.exponent, 0, 0,
-                            {"L3": comp3, "L1": comp1, "L2": (b, 0, p2.constant, L2)},
-                        ))
-            else:
-                if p1.kind == "const":
-                    t1_cells = [D1Cell(p1.region, b, 0, p1.constant, cell3.voronoi_index)]
-                else:
-                    t1_cells = _d1_cells(L1, p1.region, eps, ctx, "L1i:")
-                for cell1 in t1_cells:
-                    bp = cell1.center
-                    comp1 = (bp, cell1.exponent, cell1.constant, L1)
-                    for p2 in _d2_cells(L2, bp, cell1.region, ctx, "L2:"):
-                        if p2.kind == "gap":
-                            leaves.append(tag(
-                                p2.region, "T10", cell3.exponent, cell1.exponent, p2.exponent,
-                                {"L3": comp3, "L1": comp1,
-                                 "L2": (bp, p2.exponent, p2.constant, L2)},
-                            ))
-                        elif p2.kind == "dyadic":
-                            for inner in _d1_cells(L2, p2.region, eps, ctx, "L2i:"):
-                                leaves.append(tag(
-                                    inner.region, "T11", cell3.exponent, cell1.exponent,
-                                    inner.exponent,
-                                    {"L3": comp3, "L1": comp1,
-                                     "L2": (inner.center, inner.exponent, inner.constant, L2)},
-                                ))
-                        else:
-                            leaves.append(tag(
-                                p2.region, "T11", cell3.exponent, cell1.exponent, 0,
-                                {"L3": comp3, "L1": comp1, "L2": (bp, 0, p2.constant, L2)},
-                            ))
-    return finish(leaves)
+    if refine:
+        budgets = [(name, poly, (degs[name] + 1) * eps) for name, poly in polys.items()]
+        regions = _refine_regions(regions, budgets, ctx, refine_samples, region_budget)
+    for region in regions:
+        _measure_comparability(region, polys, comparability_samples)
+    return DecompositionReport(
+        regions=regions,
+        epsilon_used=eps,
+        thickening_B=thickening,
+        working_radius=ctx.working_radius,
+        dyadic_factor=dyadic_factor,
+        cluster_tol=cluster_tol,
+        region_budget=region_budget,
+        seed=seed,
+        root_info=ctx.root_log,
+    )
 
 
 def affine_retry(curve: CurveGamma, report: DecompositionReport, *,

@@ -21,7 +21,6 @@ from .curves import CurveGamma, TorsionTriple, torsion_triple
 from .decomposition import Region
 from .errors import AllSamplesZero, NonConvergence, SegmentHitsSingularity
 from .geometry import dist_point_triangle, minimal_arc
-from .polynomials import roots
 
 
 class Triple(NamedTuple):
@@ -88,24 +87,6 @@ def jacobian_direct_batch(curve: CurveGamma, z1, z2, z3) -> np.ndarray:
     )
 
 
-def _singular_points(tt: TorsionTriple, cluster_tol: float = 1e-7):
-    cached = getattr(tt, "_singular_cache", None)
-    if cached is not None:
-        return cached
-    pts = []
-    for poly in (tt.L1, tt.L2):
-        p = poly.trimmed(1e-12)
-        if p.degree >= 1:
-            pts.extend(r for r, _ in roots(p, cluster_tol).roots)
-        elif p.degree < 0:
-            raise SegmentHitsSingularity(
-                "an integrand denominator polynomial vanishes identically"
-            )
-    pts = tuple(pts)
-    object.__setattr__(tt, "_singular_cache", pts)
-    return pts
-
-
 def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> float:
     """Distance from the nearest L1/L2 zero to the triangle hull of the triple.
 
@@ -115,7 +96,7 @@ def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> fl
     Raises SegmentHitsSingularity below the margin.
     """
     best = math.inf
-    for p in _singular_points(tt):
+    for p in tt.singular_points:
         best = min(best, dist_point_triangle(p, t.z1, t.z2, t.z3))
         if best < margin:
             raise SegmentHitsSingularity(
@@ -124,8 +105,13 @@ def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> fl
     return best
 
 
-def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int) -> complex:
-    """One pass of the tensorized three-level Gauss-Legendre rule."""
+def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int, modulus: bool = False):
+    """One pass of the tensorized three-level Gauss-Legendre rule.
+
+    With ``modulus`` every factor is replaced by its modulus and the result
+    is a float; otherwise it is the complex integral.
+    """
+    f = abs if modulus else (lambda v: v)
     x, w = leggauss(n)
     tau = 0.5 * (x + 1.0)
     wt = 0.5 * w
@@ -135,18 +121,18 @@ def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int) -> complex:
     w2 = z2 + (z3 - z2) * tau
 
     L1, L2, L3 = tt.L1, tt.L2, tt.L3
-    r2_w1 = np.asarray(L2(w1)) / np.asarray(L1(w1)) ** 2
-    r2_w2 = np.asarray(L2(w2)) / np.asarray(L1(w2)) ** 2
+    r2_w1 = f(np.asarray(L2(w1))) / f(np.asarray(L1(w1))) ** 2
+    r2_w2 = f(np.asarray(L2(w2))) / f(np.asarray(L1(w2))) ** 2
 
     seg = w2[None, :] - w1[:, None]
     y = w1[:, None, None] + seg[:, :, None] * tau[None, None, :]
-    r3 = np.asarray(L1(y)) * np.asarray(L3(y)) / np.asarray(L2(y)) ** 2
-    inner = seg * np.tensordot(r3, wt, axes=([2], [0]))
+    r3 = f(np.asarray(L1(y))) * f(np.asarray(L3(y))) / f(np.asarray(L2(y))) ** 2
+    inner = f(seg) * np.tensordot(r3, wt, axes=([2], [0]))
 
-    mid = (z3 - z2) * np.tensordot(inner * r2_w2[None, :], wt, axes=([1], [0]))
-    outer = (z2 - z1) * np.dot(wt, r2_w1 * mid)
-    lead = complex(L1(z1)) * complex(L1(z2)) * complex(L1(z3))
-    return complex(lead * outer)
+    mid = f(z3 - z2) * np.tensordot(inner * r2_w2[None, :], wt, axes=([1], [0]))
+    outer = f(z2 - z1) * np.dot(wt, r2_w1 * mid)
+    lead = f(complex(L1(z1))) * f(complex(L1(z2))) * f(complex(L1(z3)))
+    return float(lead * outer) if modulus else complex(lead * outer)
 
 
 def jacobian_integral(curve: CurveGamma, t: Triple, q: QuadratureSpec, *,
@@ -229,27 +215,7 @@ def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
 
 def modulus_inside_integral(tt: TorsionTriple, t: Triple, q: QuadratureSpec) -> float:
     """The nested integral with every factor replaced by its modulus."""
-    n = q.nodes_per_segment
-    x, w = leggauss(n)
-    tau = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-
-    z1, z2, z3 = complex(t.z1), complex(t.z2), complex(t.z3)
-    w1 = z1 + (z2 - z1) * tau
-    w2 = z2 + (z3 - z2) * tau
-    L1, L2, L3 = tt.L1, tt.L2, tt.L3
-    r2_w1 = np.abs(np.asarray(L2(w1))) / np.abs(np.asarray(L1(w1))) ** 2
-    r2_w2 = np.abs(np.asarray(L2(w2))) / np.abs(np.asarray(L1(w2))) ** 2
-
-    seg = w2[None, :] - w1[:, None]
-    y = w1[:, None, None] + seg[:, :, None] * tau[None, None, :]
-    r3 = np.abs(np.asarray(L1(y))) * np.abs(np.asarray(L3(y))) / np.abs(np.asarray(L2(y))) ** 2
-    inner = np.abs(seg) * np.tensordot(r3, wt, axes=([2], [0]))
-
-    mid = abs(z3 - z2) * np.tensordot(inner * r2_w2[None, :], wt, axes=([1], [0]))
-    outer = abs(z2 - z1) * float(np.dot(wt, r2_w1 * mid))
-    lead = abs(complex(L1(z1))) * abs(complex(L1(z2))) * abs(complex(L1(z3)))
-    return float(lead * outer)
+    return _nested_quadrature(tt, t, q.nodes_per_segment, modulus=True)
 
 
 def sector_contained(f, region: Region, aperture_budget: float,

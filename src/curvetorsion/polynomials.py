@@ -208,11 +208,6 @@ class RootSet:
         return sum(m for _, m in self.roots)
 
 
-def eval_poly(p: ComplexPolynomial, z):
-    """Functional alias for ``p(z)``."""
-    return p(z)
-
-
 def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
     """Value and first derivative of the polynomial at each z."""
     p = np.zeros_like(z)

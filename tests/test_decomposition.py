@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,14 @@ from curvetorsion import (
     d2_decompose,
     torsion_triple,
 )
+from curvetorsion import decomposition
 from curvetorsion.curves import CurveGamma
-from curvetorsion.decomposition import DegenerateTorsion, exponent_exclusions_ok
+from curvetorsion.decomposition import (
+    Comparability,
+    DegenerateTorsion,
+    Region,
+    exponent_exclusions_ok,
+)
 from curvetorsion.geometry import is_convex, point_in_polygon
 from curvetorsion.polynomials import ComplexPolynomial
 
@@ -284,6 +291,47 @@ class TestClassify:
                     ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
                     assert ratio.max() <= stats["ratio_bound"]
                     assert ratio.min() >= 1.0 / stats["ratio_bound"]
+
+
+class TestClassifyWalk:
+    def test_roots_once_per_distinct_polynomial(self, monkeypatch, curve_z3z5):
+        calls = []
+        real_roots = decomposition.roots
+
+        def counting_roots(p, *args, **kwargs):
+            calls.append(p)
+            return real_roots(p, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "roots", counting_roots)
+        tt = torsion_triple(curve_z3z5)
+        rep = classify_regions(tt)
+        nonconstant = {p.trimmed(1e-12) for p in tt.polys() if p.trimmed(1e-12).degree >= 1}
+        assert len(nonconstant) == 2
+        assert len(calls) == len(nonconstant)
+        assert set(calls) == nonconstant
+        assert rep.root_info
+
+    def test_no_dynamic_region_attributes(self, suite_reports):
+        names = {f.name for f in dataclasses.fields(Region)}
+        for _, _, rep in suite_reports.values():
+            for r in rep.regions:
+                assert set(vars(r)) == names
+
+    def test_all_four_types_on_retry_curve(self):
+        curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
+        rep = classify_regions(torsion_triple(curve), eps=math.pi / 8, refine=False)
+        assert {r.region_type for r in rep.regions} == {"T00", "T01", "T10", "T11"}
+        for r in rep.regions:
+            assert r.sigma.consistent()
+            assert r.sigma.region_type == r.region_type
+            assert list(r.comparability) == ["L3", "L1", "L2"]
+            assert all(isinstance(v, Comparability) for v in r.comparability.values())
+            k1 = r.comparability["L1"].k
+            assert r.sigma.k_sub == (0 if r.region_type == "T01" else k1)
+            assert r.sigma.k == r.comparability["L3"].k
+            assert r.sigma.k_mid == r.comparability["L2"].k
+        # the convention matters: some T01 region has a nonzero L1 exponent
+        assert any(r.comparability["L1"].k > 0 for r in rep.regions if r.region_type == "T01")
 
 
 class TestAffineRetry:

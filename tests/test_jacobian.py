@@ -16,7 +16,9 @@ from curvetorsion import (
     torsion_triple,
 )
 
-from conftest import random_curve
+from curvetorsion.curves import CurveGamma
+
+from conftest import poly, random_curve
 
 
 def vandermonde(t):
@@ -148,6 +150,22 @@ class TestJacobianIntegral:
         q = QuadratureSpec(nodes_per_segment=8)
         with pytest.raises(SegmentHitsSingularity):
             jacobian_integral(curve_z3z5, Triple(-1.0, 1.0, 0.5j), q)
+
+    def test_singular_points_cached_on_triple(self, curve_z3z5):
+        tt = torsion_triple(curve_z3z5)
+        pts = tt.singular_points
+        assert pts is tt.singular_points
+        assert len(pts) == 1 and abs(pts[0]) < 1e-12  # L1 = 1, L2 = 6z
+
+    def test_identically_zero_denominator(self):
+        # a constant first component makes L1 = P1' vanish identically
+        curve = CurveGamma.from_components(poly(1), poly(0, 0, 1), poly(0, 0, 0, 1))
+        tt = torsion_triple(curve)
+        q = QuadratureSpec(nodes_per_segment=8)
+        for _ in range(2):
+            with pytest.raises(SegmentHitsSingularity,
+                               match="an integrand denominator polynomial vanishes identically"):
+                jacobian_integral(curve, Triple(0.0, 1.0, 1j), q, tt=tt)
 
     def test_identity_trials_clean_curve(self, moment_curve):
         res = jacobian_identity_trials(moment_curve, 50, seed=3)
