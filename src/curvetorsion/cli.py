@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import reports
-from .curves import CurveGamma, torsion_triple
+from .curves import CurveGamma
 from .decomposition import admissible, affine_retry, classify_regions
 from .errors import (
     CurveTorsionError,
@@ -124,16 +124,12 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
 
     def body():
         curve = _load_curve(curve_file)
-        tt = torsion_triple(curve)
-        if tt.degenerate:
+        if curve.torsion.degenerate:
             _fail(DegenerateTorsion("curve torsion vanishes identically"), EXIT_INPUT)
-        report = classify_regions(tt, eps=eps, seed=seed)
+        report = classify_regions(curve.torsion, eps=eps, seed=seed)
         used_curve = curve
         if retry and report.inadmissible():
-            used_curve, _amap, report = affine_retry(curve, report)
-            tt_used = torsion_triple(used_curve)
-        else:
-            tt_used = tt
+            used_curve, _amap, report = affine_retry(curve, report, eps=eps)
         entries = []
         skipped = []
         for idx, region in enumerate(report.regions):
@@ -142,11 +138,11 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
             )
             if admissible(region.sigma):
                 rep = verify_region(used_curve, region, region.sigma, samples,
-                                    region_seed, tt=tt_used)
+                                    region_seed)
                 entries.append(rep.to_json())
             elif exploratory:
                 rep = verify_region(used_curve, region, region.sigma, samples,
-                                    region_seed, exploratory=True, tt=tt_used)
+                                    region_seed, exploratory=True)
                 entries.append(rep.to_json())
             else:
                 skipped.append({"region_id": region.region_id,
@@ -181,8 +177,7 @@ def jacobian_check(curve_file, trials, seed, nodes, box_radius, margin, out):
 
     def body():
         curve = _load_curve(curve_file)
-        tt = torsion_triple(curve)
-        if tt.degenerate:
+        if curve.torsion.degenerate:
             _fail(DegenerateTorsion("curve torsion vanishes identically"), EXIT_INPUT)
         result = jacobian_identity_trials(
             curve, trials, seed,

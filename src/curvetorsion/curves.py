@@ -23,6 +23,9 @@ _ZERO_DET_REL = 1e-10
 
 _SINGULAR_FLOOR = 1e-12
 
+# Distance below which root iterates always merge into one multiple root.
+CLUSTER_TOL = 1e-7
+
 
 @dataclass(frozen=True, eq=False)
 class CurveGamma:
@@ -101,6 +104,20 @@ class TorsionTriple:
         return (self.L1, self.L2, self.L3)
 
     @cached_property
+    def root_sets(self) -> dict:
+        """Roots of each non-constant polynomial of the triple, computed once.
+
+        Keyed by the polynomial trimmed at 1e-12, so equal polynomials share
+        one entry.  Raises NonConvergence when a root extraction fails.
+        """
+        out = {}
+        for poly in self.polys():
+            p = poly.trimmed(1e-12)
+            if p.degree >= 1 and p not in out:
+                out[p] = roots(p, CLUSTER_TOL)
+        return out
+
+    @cached_property
     def singular_points(self) -> tuple:
         """Zeros of L1 and L2, the poles of the nested Jacobian integrand.
 
@@ -110,7 +127,7 @@ class TorsionTriple:
         for poly in (self.L1, self.L2):
             p = poly.trimmed(1e-12)
             if p.degree >= 1:
-                pts.extend(r for r, _ in roots(p, 1e-7).roots)
+                pts.extend(r for r, _ in self.root_sets[p].roots)
             elif p.degree < 0:
                 raise SegmentHitsSingularity(
                     "an integrand denominator polynomial vanishes identically"

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveGamma, AffineMap3, TorsionTriple, affine_apply, torsion_triple
+from .curves import CLUSTER_TOL, CurveGamma, AffineMap3, TorsionTriple, affine_apply
 from .errors import (
     ApertureTooWide,
     CurveTorsionError,
@@ -49,10 +49,17 @@ from .polynomials import _eval_error_bound as _poly_noise_bound
 
 TAU = 2.0 * math.pi
 
-DEFAULT_THICKENING = 1.1
-DEFAULT_DYADIC_FACTOR = 2.0
+THICKENING = 1.1
+DYADIC_FACTOR = 2.0
 MAX_APERTURE = math.pi / 8.0
 _REFINE_DEPTH_CAP = 48
+# Boundary points per region for the aperture and comparability measurements.
+_REFINE_SAMPLES = 400
+_COMPARABILITY_SAMPLES = 500
+# Regions at which refinement stops splitting and flags what is left.
+REGION_BUDGET = 20_000
+# Candidate perturbation sizes of the affine retry, tried in this order.
+_RETRY_DELTAS = (1e-2, 1e-1)
 
 REGION_TYPES = ("T00", "T01", "T10", "T11")
 
@@ -162,13 +169,14 @@ class Region:
     band_scale: float | None = None
     depth: int = 0
 
-    def contains(self, z, tol: float = 1e-9):
-        """Membership by the center/sector/radius constraint set; vectorized."""
+    def contains(self, z):
+        """Membership by the center/sector/radius constraint set, to 1e-9
+        times the constraint normal's scale; vectorized."""
         zz = np.asarray(z, dtype=np.complex128)
         ok = np.ones(zz.shape, dtype=bool)
         for anchor, normal in self.halfplanes:
             scale = max(1.0, abs(normal))
-            ok &= halfplane_value(zz, anchor, normal) >= -tol * scale
+            ok &= halfplane_value(zz, anchor, normal) >= -1e-9 * scale
         return ok
 
     def sample(self, n: int, rng) -> np.ndarray:
@@ -186,7 +194,6 @@ class D1Cell:
     center: complex
     exponent: int
     constant: float
-    voronoi_index: int
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,7 @@ def _build_region(
 
     Returns None when the clipped cell is empty.  The tangent/chord
     construction needs cos(aperture / 2) >= 1 / thickening, which holds for
-    apertures up to pi/8 with the default thickening 1.1.
+    apertures up to pi/8 with THICKENING = 1.1.
     """
     r_lo, r_hi = float(radial_range[0]), float(radial_range[1])
     if not (r_lo >= 0.0 and r_hi > r_lo):
@@ -337,51 +344,38 @@ def _build_region(
 
 @dataclass
 class _Context:
-    """Settings of one decomposition call and its per-call root cache."""
+    """Settings of one decomposition call and the root sets it cuts by.
+
+    ``root_sets`` maps each non-constant polynomial, trimmed at 1e-12, to
+    its roots; callers look polynomials up trimmed the same way.
+    """
 
     eps: float
     m_sectors: int
-    B: float
     working_radius: float
-    cluster_tol: float
-    dyadic_factor: float
+    root_sets: dict
     root_log: dict = field(default_factory=dict)
-    _roots: dict = field(default_factory=dict)
 
     @classmethod
-    def create(cls, polys, *, eps, m, thickening, working_radius, cluster_tol,
-               dyadic_factor: float = DEFAULT_DYADIC_FACTOR) -> "_Context":
-        """The working radius defaults to ten times the largest root modulus."""
-        ctx = cls(eps, m, thickening, working_radius, cluster_tol, dyadic_factor)
-        if working_radius is None:
-            rmax = 1.0
-            for p in polys:
-                pt = p.trimmed(1e-12)
-                if pt.degree >= 1:
-                    rs = ctx.root_set(pt)
-                    if rs.roots:
-                        rmax = max(rmax, max(abs(r) for r, _ in rs.roots))
-            ctx.working_radius = 10.0 * rmax
-        return ctx
+    def create(cls, root_sets: dict, eps: float, m: int) -> "_Context":
+        """The working radius is ten times the largest root modulus, and at
+        least 10."""
+        rmax = max((abs(r) for rs in root_sets.values() for r, _ in rs.roots), default=1.0)
+        return cls(eps, m, 10.0 * max(rmax, 1.0), root_sets)
+
+    @classmethod
+    def of_polynomial(cls, Q: ComplexPolynomial, eps: float, m: int) -> "_Context":
+        """Context of a decomposition by the one non-constant polynomial Q."""
+        Qt = Q.trimmed(1e-12)
+        try:
+            rs = roots(Qt, CLUSTER_TOL)
+        except NonConvergence as exc:
+            raise RootFindingFailed(str(exc)) from exc
+        return cls.create({Qt: rs}, eps, m)
 
     @property
     def half_width(self) -> float:
         return 1.25 * self.working_radius
-
-    def root_set(self, Q: ComplexPolynomial):
-        """Roots of Q, extracted once per distinct polynomial.
-
-        Callers pass polynomials trimmed at 1e-12, so a polynomial reached
-        through different paths has equal coefficients and one cache entry.
-        """
-        rs = self._roots.get(Q)
-        if rs is None:
-            try:
-                rs = roots(Q, self.cluster_tol)
-            except NonConvergence as exc:
-                raise RootFindingFailed(str(exc)) from exc
-            self._roots[Q] = rs
-        return rs
 
 
 def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
@@ -457,25 +451,23 @@ def _d1_cells(Q, domain, ctx, id_prefix):
     eps = ctx.eps
     Qt = Q.trimmed(1e-12)
     if Qt.degree <= 0:
+        # A constant only ever cuts the whole plane, into bare sectors.
         c0 = abs(Qt.coeffs[0])
-        if domain is not None:
-            return [D1Cell(domain, domain.center, 0, c0, domain.parent_voronoi)]
-        m = ctx.m_sectors
         cells = []
-        for n in range(m):
+        for n in range(ctx.m_sectors):
             region = _build_region(
                 0.0,
                 (n * eps, (n + 1) * eps),
                 (0.0, math.inf),
-                thickening=ctx.B,
+                thickening=THICKENING,
                 working_half_width=ctx.half_width,
                 region_id=f"{id_prefix}s{n}",
             )
             if region is not None:
-                cells.append(D1Cell(region, 0.0, 0, c0, 0))
+                cells.append(D1Cell(region, 0.0, 0, c0))
         return cells
 
-    rs = ctx.root_set(Qt)
+    rs = ctx.root_sets[Qt]
     ctx.root_log[id_prefix] = {
         "residual": rs.residual,
         "roots": [[complex(r).real, complex(r).imag, int(mu)] for r, mu in rs.roots],
@@ -503,29 +495,22 @@ def _d1_cells(Q, domain, ctx, id_prefix):
                     b,
                     theta,
                     (lo, hi),
-                    thickening=ctx.B,
+                    thickening=THICKENING,
                     working_half_width=ctx.half_width,
                     extra_halfplanes=tuple(extra_domain) + vor,
                     region_id=f"{id_prefix}v{j}.s{n}.l{li}",
                     parent_voronoi=j,
                 )
                 if region is not None:
-                    cells.append(D1Cell(region, complex(b), int(k), float(c), j))
+                    cells.append(D1Cell(region, complex(b), int(k), float(c)))
     return cells
 
 
-def d1_decompose(Q: ComplexPolynomial, domain: Region | None, eps: float, *,
-                 thickening: float = DEFAULT_THICKENING,
-                 working_radius: float | None = None,
-                 cluster_tol: float = 1e-7) -> list:
+def d1_decompose(Q: ComplexPolynomial, domain: Region | None, eps: float) -> list:
     """Public first decomposition: |Q| ~ c * |z - b|**k on each cell."""
     if Q.trimmed(1e-12).degree <= 0:
         raise ValueError("Q must be nonconstant")
-    m = _validate_eps(eps)
-    ctx = _Context.create(
-        [Q], eps=eps, m=m, thickening=thickening,
-        working_radius=working_radius, cluster_tol=cluster_tol,
-    )
+    ctx = _Context.of_polynomial(Q, eps, _validate_eps(eps))
     return _d1_cells(Q, domain, ctx, "d1:")
 
 
@@ -539,7 +524,7 @@ def _radial_structure(Q, b, ctx):
     Returns list of (lo, hi, kind, exponent, constant, scale).
     """
     Qt = Q.trimmed(1e-12)
-    rs = ctx.root_set(Qt)
+    rs = ctx.root_sets[Qt]
     lead_abs = float(abs(Qt.coeffs[-1]))
     radii = []
     m0 = 0
@@ -557,7 +542,7 @@ def _radial_structure(Q, b, ctx):
             merged[-1] = (merged[-1][0], merged[-1][1] + mu)
         else:
             merged.append((rho, mu))
-    A = ctx.dyadic_factor
+    A = DYADIC_FACTOR
     chains = []
     for rho, mu in merged:
         if chains and rho <= chains[-1][1] * A * A:
@@ -615,7 +600,7 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
                 complex(b),
                 domain.theta_range,
                 (lo2, hi2),
-                thickening=ctx.B,
+                thickening=THICKENING,
                 working_half_width=ctx.half_width,
                 extra_halfplanes=domain.halfplanes,
                 region_id=f"{domain.region_id}|{id_prefix}{kind[0]}{idx}",
@@ -629,28 +614,17 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
     return cells
 
 
-def d2_decompose(Q: ComplexPolynomial, b: complex, domain: Region, *,
-                 dyadic_factor: float = DEFAULT_DYADIC_FACTOR,
-                 thickening: float = DEFAULT_THICKENING,
-                 working_radius: float | None = None,
-                 cluster_tol: float = 1e-7) -> list:
+def d2_decompose(Q: ComplexPolynomial, b: complex, domain: Region) -> list:
     """Public second decomposition around center b inside one sector cell."""
     if Q.trimmed(1e-12).degree <= 0:
         raise ValueError("Q must be nonconstant")
-    ctx = _Context.create(
-        [Q], eps=MAX_APERTURE, m=16, thickening=thickening,
-        working_radius=working_radius, cluster_tol=cluster_tol,
-        dyadic_factor=dyadic_factor,
-    )
-    out = _d2_cells(Q, b, domain, ctx, "d2:")
-    return [c for c in out if c.kind != "const"]
+    ctx = _Context.of_polynomial(Q, MAX_APERTURE, 16)
+    return _d2_cells(Q, b, domain, ctx, "d2:")
 
 
 def convexify(center: complex, theta_range, radial_range, *,
-              thickening: float = DEFAULT_THICKENING,
-              working_radius: float = 100.0,
-              extra_halfplanes=()) -> Region:
-    """Convexify one annular sector into a Region.
+              working_radius: float = 100.0) -> Region:
+    """Convexify one annular sector into a Region, thickened by THICKENING.
 
     Raises ApertureTooWide for sectors wider than pi/8.  Unbounded sectors
     keep an empty polygon and a symbolic infinite outer radius.
@@ -659,9 +633,8 @@ def convexify(center: complex, theta_range, radial_range, *,
         complex(center),
         theta_range,
         radial_range,
-        thickening=thickening,
+        thickening=THICKENING,
         working_half_width=1.25 * working_radius + abs(center),
-        extra_halfplanes=extra_halfplanes,
         region_id="cell",
     )
     if region is None:
@@ -673,14 +646,31 @@ def convexify(center: complex, theta_range, radial_range, *,
 # pipeline
 
 
-def _boundary_points(poly, per_edge: int) -> np.ndarray:
+def _boundary_grid(region: Region, n_samples: int):
+    """About n_samples points along the region's sampling polygon, at
+    least six per edge, and the position error of its vertices."""
+    poly = region.sampling_polygon
     n = len(poly)
+    per_edge = max(6, n_samples // n)
     ts = np.arange(per_edge, dtype=np.float64) / per_edge
-    segs = [poly[i] + (poly[(i + 1) % n] - poly[i]) * ts for i in range(n)]
-    return np.concatenate(segs)
+    pts = np.concatenate([poly[i] + (poly[(i + 1) % n] - poly[i]) * ts for i in range(n)])
+    return pts, 64.0 * 2.220446049250313e-16 * (np.max(np.abs(pts)) + 1e-30)
 
 
-def _measure_apertures(region: Region, named_polys, n_samples: int):
+def _values_above_noise(poly: ComplexPolynomial, pts, pos_err: float):
+    """Values of poly at boundary points, and the mask of those kept.
+
+    Boundary vertices carry clipping roundoff; near a root of the
+    polynomial the resulting value is pure noise with a random argument,
+    so values are kept only when they dominate both the evaluation error
+    and the value swing of a vertex-position error.
+    """
+    vals = np.asarray(poly(pts))
+    swing = np.abs(np.asarray(poly.derivative()(pts))) * pos_err
+    return vals, np.abs(vals) > 32.0 * _poly_noise_bound(poly.coeffs, pts) + 8.0 * swing
+
+
+def _measure_apertures(region: Region, named_polys):
     """Argument apertures of each polynomial over the region boundary.
 
     The argument of a zero-free analytic function on a convex cell takes
@@ -688,23 +678,14 @@ def _measure_apertures(region: Region, named_polys, n_samples: int):
     every interior sample.  Zeros sit only at cell corners by construction
     and are skipped.
     """
-    if not region.sampling_polygon:
-        raise EmptyRegion(f"region {region.region_id} has no sampling polygon")
-    per_edge = max(6, n_samples // max(len(region.sampling_polygon), 1))
-    pts = _boundary_points(region.sampling_polygon, per_edge)
-    # Boundary vertices carry clipping roundoff; near a root of the
-    # polynomial the resulting value is pure noise with a random argument,
-    # so values are kept only when they dominate both the evaluation error
-    # and the value swing of a vertex-position error.
-    pos_err = 64.0 * 2.220446049250313e-16 * (np.max(np.abs(pts)) + 1e-30)
+    pts, pos_err = _boundary_grid(region, _REFINE_SAMPLES)
     out = {}
     for name, poly in named_polys:
         if poly.degree <= 0:
             out[name] = 0.0
             continue
-        vals = np.asarray(poly(pts))
-        swing = np.abs(np.asarray(poly.derivative()(pts))) * pos_err
-        nz = vals[np.abs(vals) > 32.0 * _poly_noise_bound(poly.coeffs, pts) + 8.0 * swing]
+        vals, kept = _values_above_noise(poly, pts, pos_err)
+        nz = vals[kept]
         if nz.size == 0:
             out[name] = 0.0
             continue
@@ -767,7 +748,7 @@ def _split_region(region: Region, ctx):
 _REFINE_MARGIN = 0.98
 
 
-def _refine_regions(regions, named_polys_budgets, ctx, n_samples: int, budget: int):
+def _refine_regions(regions, named_polys_budgets, ctx):
     """Bisect regions until every boundary aperture fits its budget.
 
     A small margin below the budget absorbs the discretization gap between
@@ -777,12 +758,7 @@ def _refine_regions(regions, named_polys_budgets, ctx, n_samples: int, budget: i
     queue = list(regions)
     while queue:
         region = queue.pop()
-        try:
-            apertures = _measure_apertures(
-                region, [(n, p) for n, p, _ in named_polys_budgets], n_samples
-            )
-        except EmptyRegion:
-            continue
+        apertures = _measure_apertures(region, [(n, p) for n, p, _ in named_polys_budgets])
         region.apertures = apertures
         over = [
             name
@@ -792,7 +768,7 @@ def _refine_regions(regions, named_polys_budgets, ctx, n_samples: int, budget: i
         if not over:
             out.append(region)
             continue
-        if region.depth >= _REFINE_DEPTH_CAP or len(out) + len(queue) >= budget:
+        if region.depth >= _REFINE_DEPTH_CAP or len(out) + len(queue) >= REGION_BUDGET:
             region.sector_flag = True
             out.append(region)
             continue
@@ -805,7 +781,7 @@ def _refine_regions(regions, named_polys_budgets, ctx, n_samples: int, budget: i
     return out
 
 
-def _measure_comparability(region: Region, polys: dict, n_samples: int):
+def _measure_comparability(region: Region, polys: dict):
     """Extremes of |L| / (c |z - b|**k) over the region boundary.
 
     The log of the ratio is harmonic on the cell (roots and centers sit at
@@ -813,23 +789,16 @@ def _measure_comparability(region: Region, polys: dict, n_samples: int):
     corner points at roundoff level are dropped as in the aperture test.
     """
     stats = {}
-    if not region.sampling_polygon:
-        region.comparability_stats = {"unsampled": True}
-        return
-    per_edge = max(6, n_samples // max(len(region.sampling_polygon), 1))
-    pts = _boundary_points(region.sampling_polygon, per_edge)
-    pos_err = 64.0 * 2.220446049250313e-16 * (np.max(np.abs(pts)) + 1e-30)
+    pts, pos_err = _boundary_grid(region, _COMPARABILITY_SAMPLES)
     for name, (center, k, c) in region.comparability.items():
         poly = polys[name]
         if c == 0.0 or poly.degree < 0:
             stats[name] = {"zero": True}
             continue
-        vals = np.abs(np.asarray(poly(pts)))
+        vals, kept = _values_above_noise(poly, pts, pos_err)
+        vals = np.abs(vals)
         denom = c * np.abs(pts - center) ** k
-        swing = np.abs(np.asarray(poly.derivative()(pts))) * pos_err
-        good = (denom > 0) & (np.abs(pts - center) > 4.0 * pos_err) & (
-            vals > 32.0 * _poly_noise_bound(poly.coeffs, pts) + 8.0 * swing
-        )
+        good = (denom > 0) & (np.abs(pts - center) > 4.0 * pos_err) & kept
         ratio = vals[good] / denom[good]
         ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
         if ratio.size == 0:
@@ -860,15 +829,7 @@ def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
 
 
 def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
-                     thickening: float = DEFAULT_THICKENING,
-                     dyadic_factor: float = DEFAULT_DYADIC_FACTOR,
-                     working_radius: float | None = None,
-                     refine: bool = True,
-                     refine_samples: int = 400,
-                     comparability_samples: int = 500,
-                     region_budget: int = 20_000,
-                     cluster_tol: float = 1e-7,
-                     seed: int = 0) -> DecompositionReport:
+                     refine: bool = True, seed: int = 0) -> DecompositionReport:
     """Full classification pipeline over the torsion triple.
 
     The torsion polynomial is decomposed first; each cell is then split
@@ -882,7 +843,9 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
 
     After classification, regions are bisected until the sampled argument
     aperture of each L_i fits the budget (deg L_i + 1) * eps; regions that
-    cannot be refined within the depth cap are flagged.
+    cannot be refined within the depth cap or REGION_BUDGET are flagged.
+
+    Raises RootFindingFailed when a root extraction of the triple fails.
     """
     if tt.degenerate:
         raise DegenerateTorsion("torsion vanishes identically")
@@ -894,17 +857,17 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
         eps = TAU / m
     else:
         m = _validate_eps(eps)
-    ctx = _Context.create(
-        polys.values(), eps=eps, m=m, thickening=thickening,
-        working_radius=working_radius, cluster_tol=cluster_tol,
-        dyadic_factor=dyadic_factor,
-    )
+    try:
+        root_sets = tt.root_sets
+    except NonConvergence as exc:
+        raise RootFindingFailed(str(exc)) from exc
+    ctx = _Context.create(root_sets, eps, m)
     L1, L2, L3 = polys.values()
 
     if d == 0:
         whole = _build_region(
             0.0, None, (0.0, math.inf),
-            thickening=thickening, working_half_width=ctx.half_width,
+            thickening=THICKENING, working_half_width=ctx.half_width,
             region_id="all",
         )
         whole.region_type = "T11"
@@ -933,40 +896,39 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
 
     if refine:
         budgets = [(name, poly, (degs[name] + 1) * eps) for name, poly in polys.items()]
-        regions = _refine_regions(regions, budgets, ctx, refine_samples, region_budget)
+        regions = _refine_regions(regions, budgets, ctx)
     for region in regions:
-        _measure_comparability(region, polys, comparability_samples)
+        _measure_comparability(region, polys)
     return DecompositionReport(
         regions=regions,
         epsilon_used=eps,
-        thickening_B=thickening,
+        thickening_B=THICKENING,
         working_radius=ctx.working_radius,
-        dyadic_factor=dyadic_factor,
-        cluster_tol=cluster_tol,
-        region_budget=region_budget,
+        dyadic_factor=DYADIC_FACTOR,
+        cluster_tol=CLUSTER_TOL,
+        region_budget=REGION_BUDGET,
         seed=seed,
         root_info=ctx.root_log,
     )
 
 
 def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
-                 deltas=(1e-2, 1e-1), classify_kwargs: dict | None = None):
+                 eps: float | None = None):
     """Perturb the curve until every region classifies admissibly.
 
     Candidate maps are I + delta * E_ij over the standard matrix units in
-    row-major order for each delta, applied in a fixed order so retried
-    reports are reproducible.  Returns (curve, map, report) for the first
-    fully admissible classification; the identity when the input report is
-    already admissible.
+    row-major order for each delta in _RETRY_DELTAS, applied in a fixed
+    order so retried reports are reproducible.  Each candidate is
+    classified at ``eps`` (None picks it from the degrees, as in
+    ``classify_regions``) with the report's seed.  Returns (curve, map,
+    report) for the first fully admissible classification; the identity
+    when the input report is already admissible.
 
     Raises
     ------
     RetriesExhausted
         When no candidate in the family yields an admissible report.
     """
-    kwargs = dict(classify_kwargs or {})
-    kwargs.setdefault("seed", report.seed)
-
     def fully_admissible(rep):
         return all(
             admissible(r.sigma) and exponent_exclusions_ok(r.sigma) for r in rep.regions
@@ -976,7 +938,7 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
         return curve, AffineMap3.identity(), report
 
     log = []
-    for delta in deltas:
+    for delta in _RETRY_DELTAS:
         for i in range(3):
             for j in range(3):
                 mat = np.eye(3, dtype=np.complex128)
@@ -986,12 +948,12 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
                     log.append({"delta": delta, "unit": [i, j], "outcome": "singular"})
                     continue
                 curve2 = affine_apply(curve, amap)
-                tt2 = torsion_triple(curve2)
+                tt2 = curve2.torsion
                 if tt2.degenerate:
                     log.append({"delta": delta, "unit": [i, j], "outcome": "degenerate"})
                     continue
                 try:
-                    rep2 = classify_regions(tt2, **kwargs)
+                    rep2 = classify_regions(tt2, eps, seed=report.seed)
                 except CurveTorsionError as exc:
                     log.append({
                         "delta": delta, "unit": [i, j],

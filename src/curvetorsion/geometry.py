@@ -14,7 +14,7 @@ def halfplane_value(z, anchor: complex, normal: complex):
     return ((z - anchor) * np.conj(normal)).real
 
 
-def clip_halfplane(poly, anchor: complex, normal: complex, tol: float = 0.0):
+def clip_halfplane(poly, anchor: complex, normal: complex):
     """Sutherland-Hodgman clip of a convex polygon against one half plane."""
     if not poly:
         return ()
@@ -25,12 +25,12 @@ def clip_halfplane(poly, anchor: complex, normal: complex, tol: float = 0.0):
         b = poly[(i + 1) % n]
         fa = halfplane_value(a, anchor, normal)
         fb = halfplane_value(b, anchor, normal)
-        if fa >= -tol:
+        if fa >= 0.0:
             out.append(a)
-            if fb < -tol:
+            if fb < 0.0:
                 t = fa / (fa - fb)
                 out.append(a + t * (b - a))
-        elif fb >= -tol:
+        elif fb >= 0.0:
             t = fa / (fa - fb)
             out.append(a + t * (b - a))
     return tuple(out)
@@ -116,10 +116,13 @@ def square_polygon(center: complex, half_width: float):
     )
 
 
-def sample_polygon(poly, n: int, rng, max_consecutive_misses: int = 100_000):
+_MAX_CONSECUTIVE_MISSES = 100_000
+
+
+def sample_polygon(poly, n: int, rng):
     """Uniform points inside a convex polygon by bounding-box rejection.
 
-    Raises ``RuntimeError`` after ``max_consecutive_misses`` straight misses;
+    Raises ``RuntimeError`` after ``_MAX_CONSECUTIVE_MISSES`` straight misses;
     callers translate this into their own empty-domain error.
     """
     re0, re1, im0, im1 = polygon_bbox(poly)
@@ -135,7 +138,7 @@ def sample_polygon(poly, n: int, rng, max_consecutive_misses: int = 100_000):
         hits = z[ok]
         if hits.size == 0:
             misses += batch
-            if misses >= max_consecutive_misses:
+            if misses >= _MAX_CONSECUTIVE_MISSES:
                 raise RuntimeError("rejection sampling kept missing the polygon")
             continue
         misses = 0

@@ -17,11 +17,15 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curves import CurveGamma, TorsionTriple, torsion_triple
+from .curves import CurveGamma, TorsionTriple
 from .decomposition import Region
 from .errors import AllSamplesZero, NonConvergence, SegmentHitsSingularity
 from .geometry import dist_point_triangle, minimal_arc
 
+_REL_TOL = 1e-6
+_IDENTITY_TOL = 1e-6
+# Identity trials give up after this many draws per requested trial.
+_MAX_ATTEMPTS_FACTOR = 300
 
 class Triple(NamedTuple):
     """Three sample points in the plane."""
@@ -33,16 +37,13 @@ class Triple(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre node count per segment (the only scheme offered)."""
+    """Gauss-Legendre node count per segment."""
 
     nodes_per_segment: int = 16
-    scheme: str = "GaussLegendre"
 
     def __post_init__(self):
         if self.nodes_per_segment < 4:
             raise ValueError("nodes_per_segment must be at least 4")
-        if self.scheme != "GaussLegendre":
-            raise ValueError("only GaussLegendre quadrature is provided")
 
 
 def phi_sum(curve: CurveGamma, t: Triple) -> np.ndarray:
@@ -137,54 +138,54 @@ def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int, modulus: bool = Fal
 
 def jacobian_integral(curve: CurveGamma, t: Triple, q: QuadratureSpec, *,
                       singularity_margin: float = 1e-6,
-                      rel_tol: float = 1e-6,
                       abs_tol: float = 0.0,
                       max_doublings: int = 4,
                       tt: TorsionTriple | None = None) -> complex:
     """Jacobian via the nested line-integral representation.
 
     Node counts double until two consecutive evaluations agree to
-    ``rel_tol`` (or, when set, the absolute floor ``abs_tol``); failure to
-    stabilize within ``max_doublings`` raises NonConvergence.  Raises
-    SegmentHitsSingularity when a zero of L1 or L2 lies within
-    ``singularity_margin`` of the swept segments.
+    _REL_TOL relative (or, when set, the absolute floor ``abs_tol``);
+    failure to stabilize within ``max_doublings`` raises NonConvergence.
+    Raises SegmentHitsSingularity when a zero of L1 or L2 lies within
+    ``singularity_margin`` of the swept segments.  ``tt`` defaults to
+    ``curve.torsion``.
     """
     if tt is None:
-        tt = torsion_triple(curve)
+        tt = curve.torsion
     check_triple_clear(tt, t, singularity_margin)
     n = q.nodes_per_segment
     prev = _nested_quadrature(tt, t, n)
     for _ in range(max_doublings):
         n *= 2
         cur = _nested_quadrature(tt, t, n)
-        if abs(cur - prev) <= max(rel_tol * max(abs(cur), 1e-12), abs_tol):
+        if abs(cur - prev) <= max(_REL_TOL * max(abs(cur), 1e-12), abs_tol):
             return cur
         prev = cur
     raise NonConvergence(
-        f"quadrature not stable to {rel_tol} after doubling to {n} nodes"
+        f"quadrature not stable to {_REL_TOL} after doubling to {n} nodes"
     )
 
 
 def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
                              q: QuadratureSpec | None = None,
                              box_radius: float = 1.0,
-                             margin: float = 0.3,
-                             tolerance: float = 1e-6,
-                             max_attempts_factor: int = 300):
+                             margin: float = 0.3):
     """Integral-versus-direct Jacobian over random admissible triples.
 
     Triples are drawn uniformly from a box and rejected when an L1/L2 zero
     comes within ``margin`` of their triangle hull (the exclusion count is
-    reported).  Returns a dict with pass/fail counts, the exclusion count,
-    and the worst relative deviation |integral - direct| / max(1, |direct|).
+    reported).  A trial passes when the relative deviation
+    |integral - direct| / max(1, |direct|) is at most _IDENTITY_TOL.
+    Returns a dict with pass/fail counts, the exclusion count, and the
+    worst relative deviation.
     """
-    tt = torsion_triple(curve)
+    tt = curve.torsion
     rng = np.random.default_rng(seed)
     q = q or QuadratureSpec(nodes_per_segment=12)
     passes = failures = excluded = 0
     worst = 0.0
     attempts = 0
-    while passes + failures < n_trials and attempts < max_attempts_factor * n_trials:
+    while passes + failures < n_trials and attempts < _MAX_ATTEMPTS_FACTOR * n_trials:
         attempts += 1
         pts = rng.uniform(-box_radius, box_radius, 6)
         t = Triple(complex(pts[0], pts[1]), complex(pts[2], pts[3]),
@@ -192,7 +193,7 @@ def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
         try:
             integral = jacobian_integral(
                 curve, t, q, singularity_margin=margin,
-                abs_tol=0.1 * tolerance, max_doublings=5, tt=tt,
+                abs_tol=0.1 * _IDENTITY_TOL, max_doublings=5, tt=tt,
             )
         except (SegmentHitsSingularity, NonConvergence):
             excluded += 1
@@ -200,7 +201,7 @@ def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
         direct = jacobian_direct(curve, t)
         dev = abs(integral - direct) / max(1.0, abs(direct))
         worst = max(worst, dev)
-        if dev <= tolerance:
+        if dev <= _IDENTITY_TOL:
             passes += 1
         else:
             failures += 1
@@ -218,18 +219,18 @@ def modulus_inside_integral(tt: TorsionTriple, t: Triple, q: QuadratureSpec) -> 
     return _nested_quadrature(tt, t, q.nodes_per_segment, modulus=True)
 
 
-def sector_contained(f, region: Region, aperture_budget: float,
-                     n_samples: int, *, seed: int = 0):
+def sector_contained(f, region: Region, aperture_budget: float, n_samples: int):
     """Minimal angular arc of f over region samples versus a budget.
 
-    Returns (contained, measured_aperture, witness) where the witness is a
-    sample point at an extreme argument when the budget is exceeded, else
-    None.  Zero values of f are skipped; if every sample vanishes,
-    AllSamplesZero is raised.
+    The samples are drawn with seed 0, so repeated calls agree.  Returns
+    (contained, measured_aperture, witness) where the witness is a sample
+    point at an extreme argument when the budget is exceeded, else None.
+    Zero values of f are skipped; if every sample vanishes, AllSamplesZero
+    is raised.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = region.sample(n_samples, rng)
     vals = np.asarray(f(pts))
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0

@@ -31,6 +31,8 @@ _BALL6_UNIT_VOLUME = math.pi**3 / 6.0
 # (512 polar nodes) one complex (points x nodes) temporary is 1 MB.
 _CHUNK_POINTS = 128
 
+_EXTENSION_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MeasurableSet:
@@ -307,12 +309,12 @@ def _extension_values(curve: CurveGamma, f, zs, n_quad: int,
 
 
 def extension(curve: CurveGamma, f, z, n_quad: int, support_radius: float, *,
-              check_convergence: bool = True, rel_tol: float = 1e-6) -> complex:
+              check_convergence: bool = True) -> complex:
     """Oscillatory extension integral over the support disk of f.
 
     ``f`` maps an (n,) complex array to (n,) values supported in
     |w| <= support_radius.  Doubling the polar grid must leave the value
-    stable to ``rel_tol`` times the weighted L1 mass of f, else
+    stable to _EXTENSION_REL_TOL times the weighted L1 mass of f, else
     NonConvergence is raised.
     """
     zs = np.asarray(z, dtype=np.complex128).reshape(1, 3)
@@ -320,7 +322,7 @@ def extension(curve: CurveGamma, f, z, n_quad: int, support_radius: float, *,
     if check_convergence:
         value2 = complex(_extension_values(curve, f, zs, 2 * n_quad, support_radius)[0])
         mass2 = weighted_l1_mass(curve, f, 2 * n_quad, support_radius)
-        tol = rel_tol * max(abs(value2), mass2, 1e-12)
+        tol = _EXTENSION_REL_TOL * max(abs(value2), mass2, 1e-12)
         if abs(value2 - value) > tol:
             raise NonConvergence(
                 f"extension quadrature moved by {abs(value2 - value):.3e} on doubling"

@@ -171,7 +171,9 @@ class ComplexPolynomial:
         return np.array_equal(self._coeffs, other._coeffs)
 
     def __hash__(self):
-        return hash(self._coeffs.tobytes())
+        # Adding 0.0 turns -0.0 into 0.0, so coefficients that compare equal
+        # hash alike.
+        return hash((self._coeffs + 0.0).tobytes())
 
     def __repr__(self):
         return f"ComplexPolynomial({list(self._coeffs)})"
@@ -279,6 +281,9 @@ def _polish_simple(coeffs: np.ndarray, x: np.ndarray, iters: int = 4) -> np.ndar
 
 _CLUSTER_KAPPA = 2.0**10
 
+# Iterations of the first root-iteration attempt; the second gets four times as many.
+_MAX_ITER = 512
+
 
 def _derivative_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:
     out = coeffs
@@ -368,7 +373,7 @@ def _cluster_points(monic: np.ndarray, points: np.ndarray, cluster_tol: float,
     return clusters
 
 
-def roots(p: ComplexPolynomial, cluster_tol: float = 1e-7, max_iter: int = 512) -> RootSet:
+def roots(p: ComplexPolynomial, cluster_tol: float = 1e-7) -> RootSet:
     """All roots of ``p`` with multiplicities from cluster merging.
 
     Raises
@@ -400,9 +405,9 @@ def roots(p: ComplexPolynomial, cluster_tol: float = 1e-7, max_iter: int = 512) 
                     return None
         return clusters
 
-    clusters = attempt(max_iter)
+    clusters = attempt(_MAX_ITER)
     if clusters is None:
-        clusters = attempt(4 * max_iter)
+        clusters = attempt(4 * _MAX_ITER)
     if clusters is None:
         raise NonConvergence("root iteration stalled above the residual target")
 

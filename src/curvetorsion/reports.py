@@ -16,6 +16,8 @@ from .decomposition import DecompositionReport, Region
 
 SCHEMA_VERSION = 1
 
+_SVG_SIZE_PX = 800.0
+
 _TYPE_COLORS = {
     "T00": "#4e79a7",
     "T01": "#f28e2b",
@@ -95,7 +97,6 @@ def region_json(region: Region) -> dict:
         "comparability_stats": {
             name: {k: (bool(v) if isinstance(v, bool) else float(v)) for k, v in st.items()}
             for name, st in sorted(region.comparability_stats.items())
-            if isinstance(st, dict)
         },
         "apertures": {name: float(v) for name, v in sorted(region.apertures.items())},
     }
@@ -158,12 +159,13 @@ def _svg_path(points, scale: float, size: float) -> str:
     return " ".join(cmds)
 
 
-def svg_region_map(report: DecompositionReport, size: float = 800.0) -> str:
+def svg_region_map(report: DecompositionReport) -> str:
     """Region map with one path per region, color-coded by type.
 
     Unbounded regions are drawn with their working-radius truncation; the
     exponent triple rides along as a data attribute on each path.
     """
+    size = _SVG_SIZE_PX
     scale = size / (2.0 * 1.25 * report.working_radius)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curves import CurveGamma, TorsionTriple, torsion_triple
+from .curves import CurveGamma, TorsionTriple
 from .decomposition import Region, SigmaExponents, admissible
 from .errors import DegenerateTriple, EmptyRegion
 from .jacobian import (
@@ -89,7 +89,7 @@ def geometric_ratio(curve: CurveGamma, t: Triple, *,
     if t.z1 == t.z2 or t.z2 == t.z3 or t.z1 == t.z3:
         raise DegenerateTriple("triple has coincident points")
     if tt is None:
-        tt = torsion_triple(curve)
+        tt = curve.torsion
     bound = float(_bound_values(tt, t.z1, t.z2, t.z3))
     if bound == 0.0:
         raise DegenerateTriple("torsion vanishes at a sample point")
@@ -113,7 +113,7 @@ def verify_region(curve: CurveGamma, region: Region, sig: SigmaExponents,
             "region is inadmissible; pass exploratory=True to sample it anyway"
         )
     if tt is None:
-        tt = torsion_triple(curve)
+        tt = curve.torsion
     rng = np.random.default_rng(seed)
     pts = region.sample(3 * n, rng)
     z1, z2, z3 = pts[0::3], pts[1::3], pts[2::3]
@@ -183,7 +183,7 @@ def modulus_comparability_check(curve: CurveGamma, region: Region | None,
     Jacobian does.
     """
     if tt is None:
-        tt = torsion_triple(curve)
+        tt = curve.torsion
     if t.z1 == t.z2 and t.z2 == t.z3:
         return 0.0, 0.0
     check_triple_clear(tt, t, singularity_margin)

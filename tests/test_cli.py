@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from curvetorsion import cli, curves, decomposition, jacobian, verification
 from curvetorsion.cli import main
 from curvetorsion.curves import CurveGamma
+from curvetorsion.errors import RootFindingFailed
 from curvetorsion.reports import svg_region_map
 
 from conftest import poly
@@ -93,6 +95,25 @@ class TestAnalyze:
         reported_ids = {r["region_id"] for r in verification["reports"]}
         assert not (skipped_ids & reported_ids)
 
+    def test_retry_keeps_user_eps(self, tmp_path, monkeypatch):
+        # every perturbed candidate is classified at the --eps given
+        curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
+        curve_file = write_curve(tmp_path, curve)
+        seen = []
+
+        def failing_classify(tt, eps=None, **kwargs):
+            seen.append(eps)
+            raise RootFindingFailed("candidate refused")
+
+        monkeypatch.setattr(decomposition, "classify_regions", failing_classify)
+        eps = math.pi / 8
+        res = RUNNER.invoke(main, ["analyze", str(curve_file), "--seed", "2",
+                                   "--eps", repr(eps), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 4, res.output
+        assert json.loads(res.output)["error"]["type"] == "RetriesExhausted"
+        assert len(seen) == 18
+        assert all(e == eps for e in seen)
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("CURVETORSION_OUT", str(target))
@@ -125,6 +146,23 @@ class TestJacobianCheck:
         payload = json.loads((out / "jacobian_check.json").read_text())
         assert payload["excluded_count"] > 0
         assert payload["passes"] == 40
+
+    def test_one_torsion_triple(self, tmp_path, monkeypatch, curve_mixed):
+        built = []
+        real = curves.torsion_triple
+
+        def counting(curve):
+            built.append(curve)
+            return real(curve)
+
+        for module in (curves, cli, jacobian, verification):
+            if hasattr(module, "torsion_triple"):
+                monkeypatch.setattr(module, "torsion_triple", counting)
+        curve_file = write_curve(tmp_path, curve_mixed)
+        res = RUNNER.invoke(main, ["jacobian-check", str(curve_file), "--trials", "5",
+                                   "--seed", "7", "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        assert len(built) == 1
 
     def test_zero_trials_usage_error(self, tmp_path, moment_curve):
         curve_file = write_curve(tmp_path, moment_curve)

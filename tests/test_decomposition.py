@@ -16,7 +16,7 @@ from curvetorsion import (
     d2_decompose,
     torsion_triple,
 )
-from curvetorsion import decomposition
+from curvetorsion import curves, decomposition
 from curvetorsion.curves import CurveGamma
 from curvetorsion.decomposition import (
     Comparability,
@@ -295,16 +295,19 @@ class TestClassify:
 
 class TestClassifyWalk:
     def test_roots_once_per_distinct_polynomial(self, monkeypatch, curve_z3z5):
+        # classify_regions and singular_points share the triple's root sets
         calls = []
-        real_roots = decomposition.roots
+        real_roots = curves.roots
 
         def counting_roots(p, *args, **kwargs):
             calls.append(p)
             return real_roots(p, *args, **kwargs)
 
-        monkeypatch.setattr(decomposition, "roots", counting_roots)
+        for module in (curves, decomposition):
+            monkeypatch.setattr(module, "roots", counting_roots)
         tt = torsion_triple(curve_z3z5)
         rep = classify_regions(tt)
+        assert len(tt.singular_points) == 1
         nonconstant = {p.trimmed(1e-12) for p in tt.polys() if p.trimmed(1e-12).degree >= 1}
         assert len(nonconstant) == 2
         assert len(calls) == len(nonconstant)

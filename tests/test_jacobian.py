@@ -30,10 +30,6 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_segment=3)
 
-    def test_only_gauss_legendre(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes_per_segment=8, scheme="Simpson")
-
 
 class TestPhiMaps:
     def test_sum_at_origin(self, moment_curve):

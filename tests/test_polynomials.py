@@ -161,3 +161,10 @@ class TestProperties:
     def test_json_roundtrip(self):
         p = poly(1 + 2j, 0, -3.5)
         assert ComplexPolynomial.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("zero", [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
+    def test_signed_zeros_hash_alike(self, zero):
+        a, b = ComplexPolynomial([0.0, 1.0]), ComplexPolynomial([zero, 1.0])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
