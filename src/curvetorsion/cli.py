@@ -35,8 +35,8 @@ from .operators import (
     GridSpec,
     MeasurableSet,
     PQPair,
+    _extension_values,
     ball_measure_check,
-    extension,
     norm_ratio_scan,
     pairing,
     weighted_l1_mass,
@@ -125,7 +125,7 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
     def body():
         curve = _load_curve(curve_file)
         if curve.torsion.degenerate:
-            _fail(DegenerateTorsion("curve torsion vanishes identically"), EXIT_INPUT)
+            raise DegenerateTorsion("curve torsion vanishes identically")
         report = classify_regions(curve.torsion, eps=eps, seed=seed)
         used_curve = curve
         if retry and report.inadmissible():
@@ -136,13 +136,9 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
             region_seed = int(
                 np.random.default_rng([seed & 0x7FFFFFFF, idx]).integers(0, 2**31 - 1)
             )
-            if admissible(region.sigma):
-                rep = verify_region(used_curve, region, region.sigma, samples,
-                                    region_seed)
-                entries.append(rep.to_json())
-            elif exploratory:
-                rep = verify_region(used_curve, region, region.sigma, samples,
-                                    region_seed, exploratory=True)
+            if admissible(region.sigma) or exploratory:
+                rep = verify_region(used_curve, region, region.sigma, samples, region_seed,
+                                    exploratory=not admissible(region.sigma))
                 entries.append(rep.to_json())
             else:
                 skipped.append({"region_id": region.region_id,
@@ -178,7 +174,7 @@ def jacobian_check(curve_file, trials, seed, nodes, box_radius, margin, out):
     def body():
         curve = _load_curve(curve_file)
         if curve.torsion.degenerate:
-            _fail(DegenerateTorsion("curve torsion vanishes identically"), EXIT_INPUT)
+            raise DegenerateTorsion("curve torsion vanishes identically")
         result = jacobian_identity_trials(
             curve, trials, seed,
             q=QuadratureSpec(nodes_per_segment=nodes),
@@ -359,9 +355,8 @@ def operator_extension_endpoint(curve_file, seed, points, n_quad, out):
             mass = weighted_l1_mass(curve, f, n_quad, support)
             coords = rng.uniform(-5.0, 5.0, size=(points, 6))
             zs = coords[:, :3] + 1j * coords[:, 3:]
-            for z in zs:
-                val = abs(extension(curve, f, z, n_quad, support,
-                                    check_convergence=False))
+            for z, v in zip(zs, _extension_values(curve, f, zs, n_quad, support)):
+                val = abs(complex(v))
                 ok = val <= mass * (1.0 + 1e-12)
                 violations += 0 if ok else 1
                 rows.append({"function": name,

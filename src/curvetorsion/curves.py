@@ -59,10 +59,6 @@ class CurveGamma:
     def torsion(self) -> "TorsionTriple":
         return torsion_triple(self)
 
-    @property
-    def nondegenerate(self) -> bool:
-        return not self.torsion.degenerate
-
     def __call__(self, z):
         """Evaluate the curve; returns shape (..., 3) for array input."""
         zz = np.asarray(z, dtype=np.complex128)
@@ -186,12 +182,6 @@ class AffineMap3:
     @classmethod
     def identity(cls) -> "AffineMap3":
         return cls.create(np.eye(3))
-
-    def compose(self, other: "AffineMap3") -> "AffineMap3":
-        """self after other: z -> self(other(z))."""
-        return AffineMap3.create(
-            self.matrix @ other.matrix, self.matrix @ other.offset + self.offset
-        )
 
     def to_json(self) -> dict:
         return {

@@ -16,7 +16,7 @@ which requires sector apertures of at most pi/8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -147,7 +147,9 @@ class Region:
     edges, convexification tangent and chord, inherited parent constraints);
     ``polygon`` is the clipped convex boundary and is empty for unbounded
     sector tails, where ``sampling_polygon`` carries a working-radius
-    truncation used for sampling only.
+    truncation used for sampling only.  ``clipped`` is the working square
+    clipped by ``halfplanes`` in order, before vertex dedupe; children are
+    cut from it.
     """
 
     center: complex
@@ -156,6 +158,7 @@ class Region:
     halfplanes: tuple
     polygon: tuple
     sampling_polygon: tuple
+    clipped: tuple
     parent_voronoi: int
     region_id: str
     unbounded: bool
@@ -238,98 +241,80 @@ def _validate_eps(eps: float):
     return int(round(m))
 
 
+def _cut(poly, halfplanes):
+    """Clip a polygon by each half plane in order, until it is empty."""
+    for anchor, normal in halfplanes:
+        if not poly:
+            break
+        poly = clip_halfplane(poly, anchor, normal)
+    return poly
+
+
 def _build_region(
     center: complex,
     theta_range,
     radial_range,
     *,
-    thickening: float,
     working_half_width: float,
-    extra_halfplanes=(),
+    clipped,
+    thickening: float = THICKENING,
+    halfplanes=(),
     region_id: str = "",
     parent_voronoi: int = 0,
     depth: int = 0,
 ) -> Region | None:
-    """Convexify one annular sector and clip it against inherited constraints.
+    """Convexify one annular sector and cut it from ``clipped``, the working
+    square already clipped by the inherited ``halfplanes``.
 
-    Returns None when the clipped cell is empty.  The tangent/chord
-    construction needs cos(aperture / 2) >= 1 / thickening, which holds for
-    apertures up to pi/8 with THICKENING = 1.1.
+    Returns None when the cell is empty.  A full circle (theta_range None)
+    adds no half plane.  The tangent/chord construction needs
+    cos(aperture / 2) >= 1 / thickening, which holds for apertures up to
+    pi/8 with THICKENING = 1.1.
     """
     r_lo, r_hi = float(radial_range[0]), float(radial_range[1])
     if not (r_lo >= 0.0 and r_hi > r_lo):
         return None
     b = complex(center)
     B = float(thickening)
-    hps = list(extra_halfplanes)
-
+    new = []
     if theta_range is None:
         if r_lo > 0.0 or math.isfinite(r_hi):
             raise ApertureTooWide("full-circle cells must span (0, inf)")
-        square = square_polygon(0.0, working_half_width)
-        poly = tuple(square)
-        for anchor, normal in hps:
-            poly = clip_halfplane(poly, anchor, normal)
-        poly = dedupe_vertices(ensure_ccw(poly), 1e-12 * working_half_width)
-        if polygon_area(poly) <= 0.0:
-            return None
-        return Region(
-            center=b,
-            theta_range=None,
-            radial_range=(r_lo, r_hi),
-            halfplanes=tuple(hps),
-            polygon=(),
-            sampling_polygon=poly,
-            parent_voronoi=parent_voronoi,
-            region_id=region_id,
-            unbounded=True,
-            thickening=B,
-            depth=depth,
-        )
+    else:
+        t0, t1 = theta_range = float(theta_range[0]), float(theta_range[1])
+        aperture = t1 - t0
+        if aperture <= 0.0 or aperture > MAX_APERTURE + 1e-12:
+            raise ApertureTooWide(f"sector aperture {aperture} outside (0, pi/8]")
+        if math.cos(aperture / 2.0) < 1.0 / B:
+            raise ApertureTooWide("thickening too small for tangent-chord convexification")
+        tm = 0.5 * (t0 + t1)
+        e0 = complex(math.cos(t0), math.sin(t0))
+        e1 = complex(math.cos(t1), math.sin(t1))
+        em = complex(math.cos(tm), math.sin(tm))
+        new = [(b, 1j * e0), (b, -1j * e1)]
+        if r_lo > 0.0:
+            new.append((b + (r_lo / B) * em, em))
+        if math.isfinite(r_hi):
+            new.append((b + (B * r_hi * math.cos(aperture / 2.0)) * em, -em))
 
-    t0, t1 = float(theta_range[0]), float(theta_range[1])
-    aperture = t1 - t0
-    if aperture <= 0.0 or aperture > MAX_APERTURE + 1e-12:
-        raise ApertureTooWide(f"sector aperture {aperture} outside (0, pi/8]")
-    if math.cos(aperture / 2.0) < 1.0 / B:
-        raise ApertureTooWide("thickening too small for tangent-chord convexification")
-    tm = 0.5 * (t0 + t1)
-    e0 = complex(math.cos(t0), math.sin(t0))
-    e1 = complex(math.cos(t1), math.sin(t1))
-    em = complex(math.cos(tm), math.sin(tm))
-
-    hps.append((b, 1j * e0))
-    hps.append((b, -1j * e1))
-    if r_lo > 0.0:
-        hps.append((b + (r_lo / B) * em, em))
-    if math.isfinite(r_hi):
-        hps.append((b + (B * r_hi * math.cos(aperture / 2.0)) * em, -em))
-
-    square = square_polygon(0.0, working_half_width)
-    poly = tuple(square)
-    for anchor, normal in hps:
-        poly = clip_halfplane(poly, anchor, normal)
-        if not poly:
-            return None
+    clipped = _cut(clipped, new)
     scale = max(working_half_width, abs(b) + (r_hi if math.isfinite(r_hi) else 0.0), 1e-30)
-    poly = dedupe_vertices(ensure_ccw(poly), 1e-13 * scale)
+    poly = dedupe_vertices(ensure_ccw(clipped), 1e-13 * scale)
     if len(poly) < 3 or polygon_area(poly) <= (1e-14 * scale) ** 2:
         return None
 
-    unbounded = False
-    if not math.isfinite(r_hi):
-        edge = working_half_width * (1.0 - 1e-9)
-        for v in poly:
-            if abs(v.real) >= edge or abs(v.imag) >= edge:
-                unbounded = True
-                break
+    edge = working_half_width * (1.0 - 1e-9)
+    unbounded = not math.isfinite(r_hi) and any(
+        abs(v.real) >= edge or abs(v.imag) >= edge for v in poly
+    )
     return Region(
         center=b,
-        theta_range=(t0, t1),
+        theta_range=theta_range,
         radial_range=(r_lo, r_hi),
-        halfplanes=tuple(hps),
+        halfplanes=tuple(halfplanes) + tuple(new),
         polygon=() if unbounded else poly,
         sampling_polygon=poly,
+        clipped=clipped,
         parent_voronoi=parent_voronoi,
         region_id=region_id,
         unbounded=unbounded,
@@ -377,6 +362,15 @@ class _Context:
     def half_width(self) -> float:
         return 1.25 * self.working_radius
 
+    @property
+    def square(self) -> tuple:
+        return square_polygon(0.0, self.half_width)
+
+    def recut(self, domain: Region) -> Region:
+        """The domain with its polygon clipped from this context's square,
+        for domains built under another working square."""
+        return replace(domain, clipped=_cut(self.square, domain.halfplanes))
+
 
 def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
     """Layers (r_lo, r_hi], exponent, constant around root j.
@@ -412,7 +406,7 @@ def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
 
 def _sector_indices_for_domain(b: complex, domain: Region | None, m: int, eps: float):
     """Indices of the sectors around b that can meet the domain."""
-    if domain is None or not domain.sampling_polygon:
+    if domain is None:
         return range(m)
     poly = domain.sampling_polygon
     if point_in_polygon(np.asarray([b]), poly, tol=1e-12)[0]:
@@ -430,7 +424,7 @@ def _sector_indices_for_domain(b: complex, domain: Region | None, m: int, eps: f
 
 
 def _domain_radial_window(b: complex, domain: Region | None):
-    if domain is None or not domain.sampling_polygon:
+    if domain is None:
         return (0.0, math.inf)
     poly = domain.sampling_polygon
     verts = np.asarray(poly, dtype=np.complex128)
@@ -459,8 +453,8 @@ def _d1_cells(Q, domain, ctx, id_prefix):
                 0.0,
                 (n * eps, (n + 1) * eps),
                 (0.0, math.inf),
-                thickening=THICKENING,
                 working_half_width=ctx.half_width,
+                clipped=ctx.square,
                 region_id=f"{id_prefix}s{n}",
             )
             if region is not None:
@@ -477,12 +471,14 @@ def _d1_cells(Q, domain, ctx, id_prefix):
     lead_abs = float(abs(Qt.coeffs[-1]))
     m = ctx.m_sectors
     cells = []
-    extra_domain = domain.halfplanes if domain is not None else ()
+    outer = ctx.square if domain is None else domain.clipped
+    extra_domain = () if domain is None else domain.halfplanes
     for j in range(len(mults)):
         b = locs[j]
         vor = tuple(
             ((locs[i] + b) / 2.0, b - locs[i]) for i in range(len(mults)) if i != j
         )
+        voronoi_cell = _cut(outer, vor)
         layers = _halfdistance_layers(j, locs, mults, lead_abs)
         dmin, dmax = _domain_radial_window(b, domain)
         sector_ids = _sector_indices_for_domain(b, domain, m, eps)
@@ -495,9 +491,9 @@ def _d1_cells(Q, domain, ctx, id_prefix):
                     b,
                     theta,
                     (lo, hi),
-                    thickening=THICKENING,
                     working_half_width=ctx.half_width,
-                    extra_halfplanes=tuple(extra_domain) + vor,
+                    clipped=voronoi_cell,
+                    halfplanes=extra_domain + vor,
                     region_id=f"{id_prefix}v{j}.s{n}.l{li}",
                     parent_voronoi=j,
                 )
@@ -511,7 +507,7 @@ def d1_decompose(Q: ComplexPolynomial, domain: Region | None, eps: float) -> lis
     if Q.trimmed(1e-12).degree <= 0:
         raise ValueError("Q must be nonconstant")
     ctx = _Context.of_polynomial(Q, eps, _validate_eps(eps))
-    return _d1_cells(Q, domain, ctx, "d1:")
+    return _d1_cells(Q, None if domain is None else ctx.recut(domain), ctx, "d1:")
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +596,9 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
                 complex(b),
                 domain.theta_range,
                 (lo2, hi2),
-                thickening=THICKENING,
                 working_half_width=ctx.half_width,
-                extra_halfplanes=domain.halfplanes,
+                clipped=domain.clipped,
+                halfplanes=domain.halfplanes,
                 region_id=f"{domain.region_id}|{id_prefix}{kind[0]}{idx}",
                 parent_voronoi=domain.parent_voronoi,
             )
@@ -619,7 +615,7 @@ def d2_decompose(Q: ComplexPolynomial, b: complex, domain: Region) -> list:
     if Q.trimmed(1e-12).degree <= 0:
         raise ValueError("Q must be nonconstant")
     ctx = _Context.of_polynomial(Q, MAX_APERTURE, 16)
-    return _d2_cells(Q, b, domain, ctx, "d2:")
+    return _d2_cells(Q, b, ctx.recut(domain), ctx, "d2:")
 
 
 def convexify(center: complex, theta_range, radial_range, *,
@@ -629,12 +625,13 @@ def convexify(center: complex, theta_range, radial_range, *,
     Raises ApertureTooWide for sectors wider than pi/8.  Unbounded sectors
     keep an empty polygon and a symbolic infinite outer radius.
     """
+    half_width = 1.25 * working_radius + abs(center)
     region = _build_region(
         complex(center),
         theta_range,
         radial_range,
-        thickening=THICKENING,
-        working_half_width=1.25 * working_radius + abs(center),
+        working_half_width=half_width,
+        clipped=square_polygon(0.0, half_width),
         region_id="cell",
     )
     if region is None:
@@ -731,7 +728,8 @@ def _split_region(region: Region, ctx):
             radial,
             thickening=min(region.thickening, _child_thickening(theta)),
             working_half_width=ctx.half_width,
-            extra_halfplanes=region.halfplanes,
+            clipped=region.clipped,
+            halfplanes=region.halfplanes,
             region_id=f"{region.region_id}.r{i}",
             parent_voronoi=region.parent_voronoi,
             depth=region.depth + 1,
@@ -867,8 +865,8 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
     if d == 0:
         whole = _build_region(
             0.0, None, (0.0, math.inf),
-            thickening=THICKENING, working_half_width=ctx.half_width,
-            region_id="all",
+            working_half_width=ctx.half_width,
+            clipped=ctx.square, region_id="all",
         )
         whole.region_type = "T11"
         whole.sigma = SigmaExponents.from_exponents("T11", 0, 0, 0)

@@ -73,10 +73,7 @@ def derivative_columns(curve: CurveGamma, z):
 
 def jacobian_direct(curve: CurveGamma, t: Triple) -> complex:
     """Determinant of the derivative columns at the three points."""
-    c1 = derivative_columns(curve, t.z1)
-    c2 = derivative_columns(curve, t.z2)
-    c3 = derivative_columns(curve, t.z3)
-    return complex(_det3_values(c1, c2, c3))
+    return complex(jacobian_direct_batch(curve, *t))
 
 
 def jacobian_direct_batch(curve: CurveGamma, z1, z2, z3) -> np.ndarray:

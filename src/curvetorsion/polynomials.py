@@ -45,10 +45,6 @@ class ComplexPolynomial:
         self._coeffs = arr
 
     @classmethod
-    def constant(cls, value) -> "ComplexPolynomial":
-        return cls([complex(value)])
-
-    @classmethod
     def from_roots(cls, lead, roots_with_mults) -> "ComplexPolynomial":
         """Build ``lead * prod (z - r)**m`` from (root, multiplicity) pairs."""
         coeffs = np.array([complex(lead)], dtype=np.complex128)

@@ -172,13 +172,10 @@ def svg_region_map(report: DecompositionReport) -> str:
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">'
     ]
     for region in report.regions:
-        pts = region.polygon if region.polygon else region.sampling_polygon
-        if not pts:
-            continue
         color = _TYPE_COLORS.get(region.region_type, _TYPE_COLORS[None])
         sigma = "" if region.sigma is None else ",".join(str(s) for s in region.sigma.sigma)
         parts.append(
-            f'<path d="{_svg_path(pts, scale, size)}" fill="{color}" '
+            f'<path d="{_svg_path(region.sampling_polygon, scale, size)}" fill="{color}" '
             f'fill-opacity="0.55" stroke="#2f2f2f" stroke-width="0.4" '
             f'data-region-id="{region.region_id}" '
             f'data-type="{region.region_type}" data-sigma="{sigma}"/>'

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from curvetorsion import cli, curves, decomposition, jacobian, verification
 from curvetorsion.cli import main
 from curvetorsion.curves import CurveGamma
+from curvetorsion.decomposition import SigmaExponents, admissible
 from curvetorsion.errors import RootFindingFailed
 from curvetorsion.reports import svg_region_map
 
@@ -95,6 +96,27 @@ class TestAnalyze:
         reported_ids = {r["region_id"] for r in verification["reports"]}
         assert not (skipped_ids & reported_ids)
 
+    def test_exploratory_samples_inadmissible_regions(self, tmp_path):
+        curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
+        curve_file = write_curve(tmp_path, curve)
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["analyze", str(curve_file), "--seed", "2",
+                                   "--samples", "50", "--no-retry", "--exploratory",
+                                   "--eps", repr(math.pi / 8), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        verification = json.loads((out / "verification.json").read_text())
+        validate(verification, "verification.schema.json")
+        assert verification["skipped"] == []
+        reports = verification["reports"]
+        assert len(reports) == 294
+        assert sum(r["exploratory"] for r in reports) == 80
+        decomposition = json.loads((out / "decomposition.json").read_text())
+        sigma = {r["region_id"]: r["sigma"] for r in decomposition["regions"]}
+        for r in reports:
+            s = sigma[r["region_id"]]
+            sig = SigmaExponents.from_exponents(s["region_type"], s["k"], s["k_sub"], s["k_mid"])
+            assert r["exploratory"] == (not admissible(sig))
+
     def test_retry_keeps_user_eps(self, tmp_path, monkeypatch):
         # every perturbed candidate is classified at the --eps given
         curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
@@ -163,6 +185,17 @@ class TestJacobianCheck:
                                    "--seed", "7", "--out", str(tmp_path / "out")])
         assert res.exit_code == 0, res.output
         assert len(built) == 1
+
+    def test_degenerate_curve_exit_3(self, tmp_path):
+        curve = CurveGamma.from_components(poly(0, 1), poly(0, 0, 1), poly(0))
+        curve_file = write_curve(tmp_path, curve)
+        res = RUNNER.invoke(main, ["jacobian-check", str(curve_file), "--trials", "3",
+                                   "--seed", "1", "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3
+        payload = json.loads(res.output)
+        assert payload["error"]["type"] == "DegenerateTorsion"
+        validate(payload, "error.schema.json")
+        assert not (tmp_path / "out").exists()
 
     def test_zero_trials_usage_error(self, tmp_path, moment_curve):
         curve_file = write_curve(tmp_path, moment_curve)

@@ -24,7 +24,7 @@ from curvetorsion.decomposition import (
     Region,
     exponent_exclusions_ok,
 )
-from curvetorsion.geometry import is_convex, point_in_polygon
+from curvetorsion.geometry import clip_halfplane, is_convex, point_in_polygon, square_polygon
 from curvetorsion.polynomials import ComplexPolynomial
 
 from conftest import poly
@@ -335,6 +335,55 @@ class TestClassifyWalk:
             assert r.sigma.k_mid == r.comparability["L2"].k
         # the convention matters: some T01 region has a nonzero L1 exponent
         assert any(r.comparability["L1"].k > 0 for r in rep.regions if r.region_type == "T01")
+
+
+def clipped_from(half_width, halfplanes):
+    """The working square clipped by each half plane in order."""
+    poly = square_polygon(0.0, half_width)
+    for anchor, normal in halfplanes:
+        poly = clip_halfplane(poly, anchor, normal)
+    return poly
+
+
+class TestClippedPolygon:
+    """Each region keeps the working square clipped by its half planes, and
+    children are cut from their parent's polygon only."""
+
+    def test_suite_regions(self, suite_reports):
+        for name, (_, _, rep) in suite_reports.items():
+            for r in rep.regions:
+                assert r.clipped == clipped_from(1.25 * rep.working_radius, r.halfplanes), name
+
+    @pytest.mark.parametrize("working_radius", [1.0, 40.0])
+    def test_public_cells_use_their_own_square(self, working_radius):
+        # Roots 0 and 1 give the decomposition a working half width of 12.5,
+        # not the domain's 1.25 * working_radius.
+        q = poly(0, -1, 1)
+        domains = [
+            convexify(0.0, (0.0, math.pi / 16), (0.0, math.inf), working_radius=working_radius),
+            convexify(0.0, (0.0, math.pi / 16), (0.5, 4.0), working_radius=working_radius),
+        ]
+        for domain in domains:
+            cells = d1_decompose(q, domain, EPS16) + d2_decompose(q, 0.0, domain)
+            assert cells
+            for cell in cells:
+                assert cell.region.clipped == clipped_from(12.5, cell.region.halfplanes)
+        # the unbounded outer gap survives when the domain's square is small
+        kinds = [(c.kind, c.exponent) for c in d2_decompose(q, 0.0, domains[0])]
+        assert kinds[-1] == ("gap", 2) and len(kinds) == 3
+
+    def test_clip_count_on_retry_curve(self, monkeypatch):
+        calls = []
+        real_clip = decomposition.clip_halfplane
+
+        def counting_clip(poly, anchor, normal):
+            calls.append(len(poly))
+            return real_clip(poly, anchor, normal)
+
+        monkeypatch.setattr(decomposition, "clip_halfplane", counting_clip)
+        curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
+        classify_regions(torsion_triple(curve), eps=math.pi / 8, refine=False)
+        assert 0 < len(calls) < 8000
 
 
 class TestAffineRetry:
