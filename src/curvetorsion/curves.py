@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonConvergence, SegmentHitsSingularity, SingularAtOrigin
-from .polynomials import ComplexPolynomial, det2, det3, roots
+from .polynomials import CLUSTER_TOL, ComplexPolynomial, det2, det3, roots  # noqa: F401 (re-exported)
 
 # Coefficient-residue factor below which a computed determinant counts as
 # identically zero (cancellation in the cofactor expansion is exact in theory
@@ -22,9 +22,6 @@ from .polynomials import ComplexPolynomial, det2, det3, roots
 _ZERO_DET_REL = 1e-10
 
 _SINGULAR_FLOOR = 1e-12
-
-# Distance below which root iterates always merge into one multiple root.
-CLUSTER_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +107,7 @@ class TorsionTriple:
         for poly in self.polys():
             p = poly.trimmed(1e-12)
             if p.degree >= 1 and p not in out:
-                out[p] = roots(p, CLUSTER_TOL)
+                out[p] = roots(p)
         return out
 
     @cached_property

@@ -353,7 +353,7 @@ class _Context:
         """Context of a decomposition by the one non-constant polynomial Q."""
         Qt = Q.trimmed(1e-12)
         try:
-            rs = roots(Qt, CLUSTER_TOL)
+            rs = roots(Qt)
         except NonConvergence as exc:
             raise RootFindingFailed(str(exc)) from exc
         return cls.create({Qt: rs}, eps, m)
@@ -372,6 +372,18 @@ class _Context:
         return replace(domain, clipped=_cut(self.square, domain.halfplanes))
 
 
+def _merge_distances(pairs):
+    """(distance, multiplicity) pairs in increasing order, each distance
+    within a relative 1e-9 of the last one kept merged into it."""
+    merged = []
+    for dist, mult in sorted(pairs):
+        if merged and dist <= merged[-1][0] * (1.0 + 1e-9):
+            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
+        else:
+            merged.append((dist, mult))
+    return merged
+
+
 def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
     """Layers (r_lo, r_hi], exponent, constant around root j.
 
@@ -380,15 +392,9 @@ def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
     |lead| times the full distances to the remaining far roots.
     """
     b = locs[j]
-    others = sorted(
+    merged = _merge_distances(
         (abs(locs[i] - b), mults[i]) for i in range(len(mults)) if i != j
     )
-    merged = []
-    for dist, mult in others:
-        if merged and dist <= merged[-1][0] * (1.0 + 1e-9):
-            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
-        else:
-            merged.append((dist, mult))
     layers = []
     k = mults[j]
     lo = 0.0
@@ -404,40 +410,29 @@ def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
     return layers
 
 
-def _sector_indices_for_domain(b: complex, domain: Region | None, m: int, eps: float):
-    """Indices of the sectors around b that can meet the domain."""
+def _domain_window(b: complex, domain: Region | None, m: int, eps: float):
+    """Indices of the sectors around b that can meet the domain, and the
+    range (dmin, dmax) of the domain's distances from b."""
     if domain is None:
-        return range(m)
+        return range(m), 0.0, math.inf
     poly = domain.sampling_polygon
+    verts = np.asarray(poly, dtype=np.complex128)
+    dmax = math.inf if domain.unbounded else float(np.max(np.abs(verts - b)))
     if point_in_polygon(np.asarray([b]), poly, tol=1e-12)[0]:
-        return range(m)
-    angles = np.angle(np.asarray(poly, dtype=np.complex128) - b)
+        return range(m), 0.0, dmax
+    dmin = min(
+        dist_point_segment(b, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))
+    )
+    angles = np.angle(verts - b)
     aperture, i_lo, _ = minimal_arc(angles)
     start = float(np.mod(angles[i_lo], TAU))
     lo = start - 1.5 * eps
     hi = start + aperture + 1.5 * eps
     if hi - lo >= TAU:
-        return range(m)
+        return range(m), dmin, dmax
     n0 = math.floor(lo / eps)
     n1 = math.ceil(hi / eps)
-    return sorted({idx % m for idx in range(n0, n1 + 1)})
-
-
-def _domain_radial_window(b: complex, domain: Region | None):
-    if domain is None:
-        return (0.0, math.inf)
-    poly = domain.sampling_polygon
-    verts = np.asarray(poly, dtype=np.complex128)
-    dmax = float(np.max(np.abs(verts - b)))
-    if point_in_polygon(np.asarray([b]), poly, tol=1e-12)[0]:
-        dmin = 0.0
-    else:
-        dmin = min(
-            dist_point_segment(b, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))
-        )
-    if domain.unbounded:
-        dmax = math.inf
-    return (dmin, dmax)
+    return sorted({idx % m for idx in range(n0, n1 + 1)}), dmin, dmax
 
 
 def _d1_cells(Q, domain, ctx, id_prefix):
@@ -480,8 +475,7 @@ def _d1_cells(Q, domain, ctx, id_prefix):
         )
         voronoi_cell = _cut(outer, vor)
         layers = _halfdistance_layers(j, locs, mults, lead_abs)
-        dmin, dmax = _domain_radial_window(b, domain)
-        sector_ids = _sector_indices_for_domain(b, domain, m, eps)
+        sector_ids, dmin, dmax = _domain_window(b, domain, m, eps)
         for n in sector_ids:
             theta = (n * eps, (n + 1) * eps)
             for li, (lo, hi, k, c) in enumerate(layers):
@@ -531,13 +525,7 @@ def _radial_structure(Q, b, ctx):
             m0 += mu
         else:
             radii.append((rho, mu))
-    radii.sort()
-    merged = []
-    for rho, mu in radii:
-        if merged and rho <= merged[-1][0] * (1.0 + 1e-9):
-            merged[-1] = (merged[-1][0], merged[-1][1] + mu)
-        else:
-            merged.append((rho, mu))
+    merged = _merge_distances(radii)
     A = DYADIC_FACTOR
     chains = []
     for rho, mu in merged:
@@ -826,30 +814,16 @@ def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
             yield piece.region, b, piece.exponent, piece.constant, piece.kind == "const"
 
 
-def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
-                     refine: bool = True, seed: int = 0) -> DecompositionReport:
-    """Full classification pipeline over the torsion triple.
+def _walk(tt: TorsionTriple, eps: float | None):
+    """The classification walk of ``classify_regions``, before refinement.
 
-    The torsion polynomial is decomposed first; each cell is then split
-    radially by the L1 root radii into gap pieces (T0 side) and dyadic
-    bands (T1 side, re-decomposed around L1 roots), and each of those is
-    split again by L2 into T00/T01/T10/T11 regions carrying the sigma
-    triple from the classification table.  A polynomial with no roots at
-    all is classified on the constant side (type x1) with exponent 0.
-    T01 regions record ``sigma.k_sub = 0`` (their table row has no L1
-    exponent); their L1 comparability keeps the measured exponent.
-
-    After classification, regions are bisected until the sampled argument
-    aperture of each L_i fits the budget (deg L_i + 1) * eps; regions that
-    cannot be refined within the depth cap or REGION_BUDGET are flagged.
-
-    Raises RootFindingFailed when a root extraction of the triple fails.
+    Returns (regions, ctx, polys): the regions with their type, sigma and
+    comparability, the decomposition context and the trimmed L1, L2, L3.
     """
     if tt.degenerate:
         raise DegenerateTorsion("torsion vanishes identically")
     polys = {name: p.trimmed(1e-12) for name, p in zip(("L1", "L2", "L3"), tt.polys())}
-    degs = {name: max(p.degree, 0) for name, p in polys.items()}
-    d = max(degs.values())
+    d = max(max(p.degree, 0) for p in polys.values())
     if eps is None:
         m = 28 * (d + 1)
         eps = TAU / m
@@ -873,33 +847,35 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
         whole.comparability = {
             name: Comparability(0j, 0, float(abs(p.coeffs[0]))) for name, p in polys.items()
         }
-        regions = [whole]
-    else:
-        regions = []
-        for cell3 in _d1_cells(L3, None, ctx, "L3:"):
-            comp3 = Comparability(cell3.center, cell3.exponent, cell3.constant)
-            for piece1, b1, k1, c1, t1 in _split_by(L1, cell3.center, cell3.region, ctx, "L1"):
-                for region, b2, k2, c2, t2 in _split_by(L2, b1, piece1, ctx, "L2"):
-                    rtype = REGION_TYPES[2 * t1 + t2]
-                    # The T01 sigma row drops k_sub, T11 keeps it; both keep k1 in "L1".
-                    k_sub = 0 if rtype == "T01" else k1
-                    region.region_type = rtype
-                    region.sigma = SigmaExponents.from_exponents(rtype, cell3.exponent, k_sub, k2)
-                    region.comparability = {
-                        "L3": comp3,
-                        "L1": Comparability(b1, k1, c1),
-                        "L2": Comparability(b2, k2, c2),
-                    }
-                    regions.append(region)
+        return [whole], ctx, polys
+    regions = []
+    for cell3 in _d1_cells(L3, None, ctx, "L3:"):
+        comp3 = Comparability(cell3.center, cell3.exponent, cell3.constant)
+        for piece1, b1, k1, c1, t1 in _split_by(L1, cell3.center, cell3.region, ctx, "L1"):
+            for region, b2, k2, c2, t2 in _split_by(L2, b1, piece1, ctx, "L2"):
+                rtype = REGION_TYPES[2 * t1 + t2]
+                # The T01 sigma row drops k_sub, T11 keeps it; both keep k1 in "L1".
+                k_sub = 0 if rtype == "T01" else k1
+                region.region_type = rtype
+                region.sigma = SigmaExponents.from_exponents(rtype, cell3.exponent, k_sub, k2)
+                region.comparability = {
+                    "L3": comp3,
+                    "L1": Comparability(b1, k1, c1),
+                    "L2": Comparability(b2, k2, c2),
+                }
+                regions.append(region)
+    return regions, ctx, polys
 
-    if refine:
-        budgets = [(name, poly, (degs[name] + 1) * eps) for name, poly in polys.items()]
-        regions = _refine_regions(regions, budgets, ctx)
+
+def _finish(regions, ctx: _Context, polys: dict, seed: int) -> DecompositionReport:
+    """Refine and measure the walk's regions, and report them."""
+    budgets = [(name, poly, (max(poly.degree, 0) + 1) * ctx.eps) for name, poly in polys.items()]
+    regions = _refine_regions(regions, budgets, ctx)
     for region in regions:
         _measure_comparability(region, polys)
     return DecompositionReport(
         regions=regions,
-        epsilon_used=eps,
+        epsilon_used=ctx.eps,
         thickening_B=THICKENING,
         working_radius=ctx.working_radius,
         dyadic_factor=DYADIC_FACTOR,
@@ -910,29 +886,57 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
     )
 
 
+def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
+                     seed: int = 0) -> DecompositionReport:
+    """Full classification pipeline over the torsion triple, in three stages.
+
+    1. Walk: the torsion polynomial is decomposed first; each cell is then
+       split radially by the L1 root radii into gap pieces (T0 side) and
+       dyadic bands (T1 side, re-decomposed around L1 roots), and each of
+       those is split again by L2 into T00/T01/T10/T11 regions carrying the
+       sigma triple from the classification table.  A polynomial with no
+       roots at all is classified on the constant side (type x1) with
+       exponent 0.  T01 regions record ``sigma.k_sub = 0`` (their table row
+       has no L1 exponent); their L1 comparability keeps the measured
+       exponent.
+    2. Refine: regions are bisected until the sampled argument aperture of
+       each L_i fits the budget (deg L_i + 1) * eps; regions that cannot be
+       refined within the depth cap or REGION_BUDGET are flagged.  Children
+       keep their parent's sigma, so the walk already decides admissibility.
+    3. Measure: the comparability ratio extremes of every refined region.
+
+    ``eps`` None picks 2*pi / (28 * (d + 1)) for the largest degree d.
+    Raises RootFindingFailed when a root extraction of the triple fails.
+    """
+    return _finish(*_walk(tt, eps), seed)
+
+
+def _retry_ok(sig: SigmaExponents) -> bool:
+    """Sigma triples an affine retry accepts."""
+    return admissible(sig) and exponent_exclusions_ok(sig)
+
+
 def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
                  eps: float | None = None):
     """Perturb the curve until every region classifies admissibly.
 
     Candidate maps are I + delta * E_ij over the standard matrix units in
     row-major order for each delta in _RETRY_DELTAS, applied in a fixed
-    order so retried reports are reproducible.  Each candidate is
-    classified at ``eps`` (None picks it from the degrees, as in
-    ``classify_regions``) with the report's seed.  Returns (curve, map,
-    report) for the first fully admissible classification; the identity
-    when the input report is already admissible.
+    order so retried reports are reproducible.  Each candidate is walked
+    at ``eps`` (None picks it from the degrees, as in ``classify_regions``)
+    and judged on its walk regions, which already carry every sigma; so
+    ``inadmissible_count`` in ``excluded_exponents_log`` counts walk
+    regions.  Only the accepted candidate is refined and measured, with
+    the report's seed.  Returns (curve, map, report) for the first fully
+    admissible classification; the identity when the input report is
+    already admissible.
 
     Raises
     ------
     RetriesExhausted
         When no candidate in the family yields an admissible report.
     """
-    def fully_admissible(rep):
-        return all(
-            admissible(r.sigma) and exponent_exclusions_ok(r.sigma) for r in rep.regions
-        )
-
-    if fully_admissible(report):
+    if all(_retry_ok(r.sigma) for r in report.regions):
         return curve, AffineMap3.identity(), report
 
     log = []
@@ -951,25 +955,22 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
                     log.append({"delta": delta, "unit": [i, j], "outcome": "degenerate"})
                     continue
                 try:
-                    rep2 = classify_regions(tt2, eps, seed=report.seed)
+                    regions, ctx, polys = _walk(tt2, eps)
                 except CurveTorsionError as exc:
                     log.append({
                         "delta": delta, "unit": [i, j],
                         "outcome": f"failed:{type(exc).__name__}",
                     })
                     continue
-                bad = [
-                    r for r in rep2.regions
-                    if not (admissible(r.sigma) and exponent_exclusions_ok(r.sigma))
-                ]
-                entry = {
+                bad = sum(not _retry_ok(r.sigma) for r in regions)
+                log.append({
                     "delta": delta,
                     "unit": [i, j],
                     "outcome": "accepted" if not bad else "inadmissible",
-                    "inadmissible_count": len(bad),
-                }
-                log.append(entry)
+                    "inadmissible_count": bad,
+                })
                 if not bad:
+                    rep2 = _finish(regions, ctx, polys, report.seed)
                     rep2.excluded_exponents_log = log
                     return curve2, amap, rep2
     raise RetriesExhausted(

@@ -277,6 +277,9 @@ def _polish_simple(coeffs: np.ndarray, x: np.ndarray, iters: int = 4) -> np.ndar
 
 _CLUSTER_KAPPA = 2.0**10
 
+# Distance below which root iterates always merge into one multiple root.
+CLUSTER_TOL = 1e-7
+
 # Iterations of the first root-iteration attempt; the second gets four times as many.
 _MAX_ITER = 512
 
@@ -303,12 +306,11 @@ def _newton_on(coeffs: np.ndarray, z0: complex, iters: int = 30) -> complex:
     return z
 
 
-def _cluster_points(monic: np.ndarray, points: np.ndarray, cluster_tol: float,
-                    scale: float):
+def _cluster_points(monic: np.ndarray, points: np.ndarray, scale: float):
     """Agglomerative merge of near-coincident iterates.
 
-    Points within the user tolerance of each other always merge.  Beyond
-    that, a candidate cluster of size m merges only when it is numerically
+    Points within CLUSTER_TOL of each other always merge.  Beyond that,
+    a candidate cluster of size m merges only when it is numerically
     indistinguishable from an m-fold root: the derivatives of order
     0..m-2 must vanish, at noise level, at the cluster center.  The center
     is refined by Newton iteration on the (m-1)-st derivative, which has a
@@ -346,7 +348,7 @@ def _cluster_points(monic: np.ndarray, points: np.ndarray, cluster_tol: float,
         return True
 
     clusters = [([p], complex(p)) for p in points]
-    cap = cluster_tol + 5e-2 * scale
+    cap = CLUSTER_TOL + 5e-2 * scale
     while len(clusters) > 1:
         pairs = sorted(
             (abs(clusters[i][1] - clusters[j][1]), i, j)
@@ -359,7 +361,7 @@ def _cluster_points(monic: np.ndarray, points: np.ndarray, cluster_tol: float,
                 break
             pts = clusters[i][0] + clusters[j][0]
             mu = refined_center(pts)
-            if dist <= cluster_tol or acceptable(pts, mu):
+            if dist <= CLUSTER_TOL or acceptable(pts, mu):
                 clusters[i] = (pts, mu)
                 del clusters[j]
                 merged = True
@@ -369,7 +371,7 @@ def _cluster_points(monic: np.ndarray, points: np.ndarray, cluster_tol: float,
     return clusters
 
 
-def roots(p: ComplexPolynomial, cluster_tol: float = 1e-7) -> RootSet:
+def roots(p: ComplexPolynomial) -> RootSet:
     """All roots of ``p`` with multiplicities from cluster merging.
 
     Raises
@@ -390,7 +392,7 @@ def roots(p: ComplexPolynomial, cluster_tol: float = 1e-7) -> RootSet:
     def attempt(iters):
         x = _polish_simple(monic, _aberth(monic, iters))
         scale = max(1.0, float(np.max(np.abs(x))))
-        clusters = _cluster_points(monic, x, cluster_tol, scale)
+        clusters = _cluster_points(monic, x, scale)
         # Multi-point clusters validated themselves when they merged;
         # singles must sit at a residual of evaluation-noise size.
         for pts, center in clusters:

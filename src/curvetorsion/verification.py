@@ -79,8 +79,7 @@ def _bound_values(tt: TorsionTriple, z1, z2, z3):
     return l3 ** (1.0 / 3.0) * dist
 
 
-def geometric_ratio(curve: CurveGamma, t: Triple, *,
-                    tt: TorsionTriple | None = None) -> RatioSample:
+def geometric_ratio(curve: CurveGamma, t: Triple) -> RatioSample:
     """|Jacobian| over the torsion/distance lower-bound product.
 
     Raises DegenerateTriple for coincident points or a vanishing torsion
@@ -88,9 +87,7 @@ def geometric_ratio(curve: CurveGamma, t: Triple, *,
     """
     if t.z1 == t.z2 or t.z2 == t.z3 or t.z1 == t.z3:
         raise DegenerateTriple("triple has coincident points")
-    if tt is None:
-        tt = curve.torsion
-    bound = float(_bound_values(tt, t.z1, t.z2, t.z3))
+    bound = float(_bound_values(curve.torsion, t.z1, t.z2, t.z3))
     if bound == 0.0:
         raise DegenerateTriple("torsion vanishes at a sample point")
     jac = abs(jacobian_direct(curve, t))

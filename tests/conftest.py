@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,25 @@ from curvetorsion import CurveGamma, classify_regions, torsion_triple
 from curvetorsion.polynomials import ComplexPolynomial
 
 
+try:
+    import jsonschema
+
+    HAVE_JSONSCHEMA = True
+except ImportError:  # pragma: no cover
+    HAVE_JSONSCHEMA = False
+
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
+
+
 def poly(*coeffs):
     return ComplexPolynomial(list(coeffs))
+
+
+def validate(payload, schema_name):
+    if not HAVE_JSONSCHEMA:
+        pytest.skip("jsonschema not installed")
+    schema = json.loads((SCHEMA_DIR / schema_name).read_text())
+    jsonschema.validate(payload, schema)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,33 +11,17 @@ from curvetorsion.decomposition import SigmaExponents, admissible
 from curvetorsion.errors import RootFindingFailed
 from curvetorsion.reports import svg_region_map
 
-from conftest import poly
+from conftest import poly, validate
 
 pytestmark = pytest.mark.usefixtures("moment_curve")
 
 RUNNER = CliRunner()
-
-try:
-    import jsonschema
-
-    HAVE_JSONSCHEMA = True
-except ImportError:  # pragma: no cover
-    HAVE_JSONSCHEMA = False
-
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
 
 def write_curve(tmp_path, curve, name="curve.json"):
     path = tmp_path / name
     path.write_text(json.dumps(curve.to_json()))
     return path
-
-
-def validate(payload, schema_name):
-    if not HAVE_JSONSCHEMA:
-        pytest.skip("jsonschema not installed")
-    schema = json.loads((SCHEMA_DIR / schema_name).read_text())
-    jsonschema.validate(payload, schema)
 
 
 class TestAnalyze:
@@ -118,22 +101,25 @@ class TestAnalyze:
             assert r["exploratory"] == (not admissible(sig))
 
     def test_retry_keeps_user_eps(self, tmp_path, monkeypatch):
-        # every perturbed candidate is classified at the --eps given
+        # every perturbed candidate is walked at the --eps given
         curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
         curve_file = write_curve(tmp_path, curve)
         seen = []
+        real_walk = decomposition._walk
 
-        def failing_classify(tt, eps=None, **kwargs):
+        def failing_walk(tt, eps):
             seen.append(eps)
+            if len(seen) == 1:  # the curve itself, classified before the retry
+                return real_walk(tt, eps)
             raise RootFindingFailed("candidate refused")
 
-        monkeypatch.setattr(decomposition, "classify_regions", failing_classify)
+        monkeypatch.setattr(decomposition, "_walk", failing_walk)
         eps = math.pi / 8
         res = RUNNER.invoke(main, ["analyze", str(curve_file), "--seed", "2",
                                    "--eps", repr(eps), "--out", str(tmp_path / "out")])
         assert res.exit_code == 4, res.output
         assert json.loads(res.output)["error"]["type"] == "RetriesExhausted"
-        assert len(seen) == 18
+        assert len(seen) == 1 + 18
         assert all(e == eps for e in seen)
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):

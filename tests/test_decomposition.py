@@ -16,7 +16,7 @@ from curvetorsion import (
     d2_decompose,
     torsion_triple,
 )
-from curvetorsion import curves, decomposition
+from curvetorsion import curves, decomposition, reports
 from curvetorsion.curves import CurveGamma
 from curvetorsion.decomposition import (
     Comparability,
@@ -27,9 +27,11 @@ from curvetorsion.decomposition import (
 from curvetorsion.geometry import clip_halfplane, is_convex, point_in_polygon, square_polygon
 from curvetorsion.polynomials import ComplexPolynomial
 
-from conftest import poly
+from conftest import poly, validate
 
 EPS16 = 2 * math.pi / 112  # aperture pi/56, a divisor of 2*pi below pi/8
+# (z + z^2, z^3, -100 z^2): its first classification has inadmissible regions.
+RETRY_CURVE = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
 
 
 def region_points(region, n, seed=0):
@@ -321,10 +323,9 @@ class TestClassifyWalk:
                 assert set(vars(r)) == names
 
     def test_all_four_types_on_retry_curve(self):
-        curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
-        rep = classify_regions(torsion_triple(curve), eps=math.pi / 8, refine=False)
-        assert {r.region_type for r in rep.regions} == {"T00", "T01", "T10", "T11"}
-        for r in rep.regions:
+        regions, _, _ = decomposition._walk(torsion_triple(RETRY_CURVE), math.pi / 8)
+        assert {r.region_type for r in regions} == {"T00", "T01", "T10", "T11"}
+        for r in regions:
             assert r.sigma.consistent()
             assert r.sigma.region_type == r.region_type
             assert list(r.comparability) == ["L3", "L1", "L2"]
@@ -334,7 +335,7 @@ class TestClassifyWalk:
             assert r.sigma.k == r.comparability["L3"].k
             assert r.sigma.k_mid == r.comparability["L2"].k
         # the convention matters: some T01 region has a nonzero L1 exponent
-        assert any(r.comparability["L1"].k > 0 for r in rep.regions if r.region_type == "T01")
+        assert any(r.comparability["L1"].k > 0 for r in regions if r.region_type == "T01")
 
 
 def clipped_from(half_width, halfplanes):
@@ -381,9 +382,32 @@ class TestClippedPolygon:
             return real_clip(poly, anchor, normal)
 
         monkeypatch.setattr(decomposition, "clip_halfplane", counting_clip)
-        curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
-        classify_regions(torsion_triple(curve), eps=math.pi / 8, refine=False)
+        decomposition._walk(torsion_triple(RETRY_CURVE), math.pi / 8)
         assert 0 < len(calls) < 8000
+
+
+@pytest.fixture(scope="module")
+def retry_run():
+    """The retry curve classified, then retried with its refine and measure
+    stages counted."""
+    rep = classify_regions(torsion_triple(RETRY_CURVE))
+    counts = {"refined": 0, "measured": 0}
+    real_refine = decomposition._refine_regions
+    real_measure = decomposition._measure_comparability
+
+    def counting_refine(*args):
+        counts["refined"] += 1
+        return real_refine(*args)
+
+    def counting_measure(*args):
+        counts["measured"] += 1
+        return real_measure(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposition, "_refine_regions", counting_refine)
+        mp.setattr(decomposition, "_measure_comparability", counting_measure)
+        retried = affine_retry(RETRY_CURVE, rep)
+    return rep, retried, counts
 
 
 class TestAffineRetry:
@@ -393,14 +417,12 @@ class TestAffineRetry:
         assert curve2 is curve and rep2 is rep
         assert np.allclose(amap.matrix, np.eye(3))
 
-    def test_retry_removes_bad_exponents(self):
+    def test_retry_removes_bad_exponents(self, retry_run):
         # L1 = 1 + 2z, L2 = 6z(1 + z), L3 = 1200: the layer around the L1
         # root classifies as type T10 with k1 = 1, which is inadmissible.
-        curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
-        rep = classify_regions(torsion_triple(curve))
+        rep, (curve2, amap, rep2), _ = retry_run
         assert any(r.region_type == "T10" and r.sigma.k_sub == 1 for r in rep.regions)
         assert rep.inadmissible()
-        curve2, amap, rep2 = affine_retry(curve, rep)
         assert abs(amap.determinant) > 1e-12
         assert not torsion_triple(curve2).degenerate
         assert not rep2.inadmissible()
@@ -408,6 +430,16 @@ class TestAffineRetry:
         assert all(exponent_exclusions_ok(r.sigma) for r in rep2.regions)
         assert rep2.excluded_exponents_log
         assert rep2.excluded_exponents_log[-1]["outcome"] == "accepted"
+        validate(reports.decomposition_json(rep2, curve2.to_json()), "decomposition.schema.json")
+
+    def test_only_the_accepted_candidate_is_finished(self, retry_run):
+        # Rejected candidates are judged on their walk regions alone.
+        _, (_, _, rep2), counts = retry_run
+        log = rep2.excluded_exponents_log
+        assert [e["outcome"] for e in log] == ["inadmissible", "inadmissible", "accepted"]
+        assert [e["inadmissible_count"] for e in log] == [740, 1360, 0]
+        assert counts == {"refined": 1, "measured": rep2.region_count}
+        assert rep2.region_count == 56
 
     def test_exclusion_predicate(self):
         assert not exponent_exclusions_ok(SigmaExponents.from_exponents("T10", 0, 1, 0))

@@ -77,12 +77,12 @@ class TestRoots:
 
     def test_cluster_tol_merges(self):
         p = ComplexPolynomial.from_roots(1, [(1, 1), (1 + 5e-8, 1)])
-        rs = roots(p, cluster_tol=1e-7)
+        rs = roots(p)
         assert len(rs.roots) == 1 and rs.roots[0][1] == 2
 
     def test_close_but_distinct_stay_separate(self):
         p = ComplexPolynomial.from_roots(1, [(1, 1), (1 + 1e-4, 1)])
-        rs = roots(p, cluster_tol=1e-7)
+        rs = roots(p)
         assert len(rs.roots) == 2
 
     def test_pairwise_separation_invariant(self):
