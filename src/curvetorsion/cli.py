@@ -1,16 +1,16 @@
 """Command-line front end: analyze curves, check the Jacobian identity,
 and run the operator estimators.
 
-Exit codes: 0 success, 2 usage, 3 input/parse (including degenerate
-curves), 4 numerical failure, 5 verification failure.  Failures print a
-machine-readable error JSON to stdout and write no partial outputs; all
-stochastic commands require explicit seeds.
+Exit codes: 0 success, 2 usage (including out-of-range option values),
+3 input/parse (including degenerate curves), 4 numerical failure,
+5 verification failure.  Failures print a machine-readable error JSON to
+stdout and write no partial outputs; all stochastic commands require
+explicit seeds.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -77,15 +77,39 @@ def _load_curve(path: str) -> CurveGamma:
         _fail(exc, EXIT_INPUT)
 
 
-def _parse_center(text: str):
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != 6:
-        raise click.BadParameter("expected six comma-separated reals (re1,im1,...)")
-    return (
-        complex(vals[0], vals[1]),
-        complex(vals[2], vals[3]),
-        complex(vals[4], vals[5]),
-    )
+_POSITIVE = click.FloatRange(min=0, min_open=True)
+_QUAD_NODES = click.IntRange(min=4)
+
+
+def _comma_list(item, count=None):
+    """Click callback parsing a comma-separated option value with ``item``.
+
+    Empty entries are skipped.  An entry ``item`` rejects with ValueError,
+    or a number of entries other than ``count``, is a usage error.
+    """
+
+    def callback(ctx, param, text):
+        try:
+            vals = [item(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from exc
+        if count is not None and len(vals) != count:
+            raise click.BadParameter(f"expected {count} comma-separated values")
+        return vals
+
+    return callback
+
+
+def _center(vals) -> tuple:
+    """Three complex entries from six reals (re1,im1,...)."""
+    return tuple(complex(re, im) for re, im in zip(vals[0::2], vals[1::2]))
+
+
+def _pq_pair(text: str) -> PQPair:
+    if text.count(":") != 1:
+        raise ValueError(f"expected 'p:q', got {text!r}")
+    p_txt, q_txt = text.split(":")
+    return PQPair(p=float(p_txt), q=float(q_txt))
 
 
 def _run(fn):
@@ -110,7 +134,7 @@ def main():
 @main.command()
 @click.argument("curve_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, required=True, help="Master seed for all sampling.")
-@click.option("--eps", type=float, default=None, help="Sector width override.")
+@click.option("--eps", type=_POSITIVE, default=None, help="Sector width override.")
 @click.option("--samples", type=click.IntRange(min=1), default=1000,
               help="Triples per region for ratio verification.")
 @click.option("--retry/--no-retry", default=True,
@@ -162,7 +186,7 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
 @click.argument("curve_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--nodes", type=int, default=16)
+@click.option("--nodes", type=_QUAD_NODES, default=16)
 @click.option("--box-radius", type=float, default=1.0,
               help="Half-width of the sampling box for triples.")
 @click.option("--margin", type=float, default=0.35,
@@ -213,11 +237,13 @@ def operator():
 @click.option("--n-mc", type=click.IntRange(min=1), default=100_000)
 @click.option("--disk-radius", type=float, default=1.0)
 @click.option("--e-kind", type=click.Choice(["ball", "box"]), default="ball")
-@click.option("--e-center", type=str, default="0,0,0,0,0,0")
-@click.option("--e-size", type=float, default=1.0)
+@click.option("--e-center", default="0,0,0,0,0,0", callback=_comma_list(float, 6),
+              help="Six comma-separated reals re1,im1,...,im3.")
+@click.option("--e-size", type=_POSITIVE, default=1.0)
 @click.option("--f-kind", type=click.Choice(["ball", "box"]), default="ball")
-@click.option("--f-center", type=str, default="0,0,0,0,0,0")
-@click.option("--f-size", type=float, default=1.0)
+@click.option("--f-center", default="0,0,0,0,0,0", callback=_comma_list(float, 6),
+              help="Six comma-separated reals re1,im1,...,im3.")
+@click.option("--f-size", type=_POSITIVE, default=1.0)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def operator_pairing(curve_file, seed, n_mc, disk_radius, e_kind, e_center,
                      e_size, f_kind, f_center, f_size, out):
@@ -225,8 +251,8 @@ def operator_pairing(curve_file, seed, n_mc, disk_radius, e_kind, e_center,
 
     def body():
         curve = _load_curve(curve_file)
-        E = MeasurableSet(kind=e_kind, center=_parse_center(e_center), size=e_size)
-        F = MeasurableSet(kind=f_kind, center=_parse_center(f_center), size=f_size)
+        E = MeasurableSet(kind=e_kind, center=_center(e_center), size=e_size)
+        F = MeasurableSet(kind=f_kind, center=_center(f_center), size=f_size)
         rep = pairing(curve, E, F, disk_radius, n_mc, seed)
         payload = {
             "schema_version": reports.SCHEMA_VERSION,
@@ -252,7 +278,7 @@ def operator_pairing(curve_file, seed, n_mc, disk_radius, e_kind, e_center,
 
 @operator.command("ball-measure")
 @click.option("--k-prime", type=click.IntRange(min=0), required=True)
-@click.option("--x", type=float, required=True)
+@click.option("--x", type=_POSITIVE, required=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def operator_ball_measure(k_prime, x, out):
     """Weighted measure of the calibrated ball against x / 8."""
@@ -294,14 +320,16 @@ def _scan_family():
 
 @operator.command("scan")
 @click.argument("curve_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--theta", type=str, default="0.25,0.5,0.75",
-              help="Comma-separated theta values for the exponent family.")
-@click.option("--q-extra", type=str, default="",
+@click.option("--theta", default="0.25,0.5,0.75",
+              callback=_comma_list(lambda t: PQPair.from_theta(float(t))),
+              help="Comma-separated theta values in (0, 1) for the exponent family.")
+@click.option("--q-extra", default="", callback=_comma_list(_pq_pair),
               help="Extra rows 'p:q' separated by commas (q may be 'inf').")
-@click.option("--dilations", type=str, default="1.0")
+@click.option("--dilations", default="1.0", callback=_comma_list(_POSITIVE),
+              help="Comma-separated positive dilation factors.")
 @click.option("--grid-half-width", type=float, default=4.0)
 @click.option("--grid-points", type=click.IntRange(min=2), default=4)
-@click.option("--n-quad", type=int, default=16)
+@click.option("--n-quad", type=_QUAD_NODES, default=16)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def operator_scan(curve_file, theta, q_extra, dilations, grid_half_width,
                   grid_points, n_quad, out):
@@ -309,14 +337,9 @@ def operator_scan(curve_file, theta, q_extra, dilations, grid_half_width,
 
     def body():
         curve = _load_curve(curve_file)
-        pairs = [PQPair.from_theta(float(t)) for t in theta.split(",") if t.strip()]
-        for chunk in (c for c in q_extra.split(",") if c.strip()):
-            p_txt, q_txt = chunk.split(":")
-            pairs.append(PQPair(p=float(p_txt), q=math.inf if q_txt == "inf" else float(q_txt)))
-        dils = tuple(float(d) for d in dilations.split(",") if d.strip())
         grid = GridSpec(half_width=grid_half_width, points_per_axis=grid_points)
-        table = norm_ratio_scan(curve, pairs, _scan_family(), grid,
-                                n_quad=n_quad, dilations=dils)
+        table = norm_ratio_scan(curve, theta + q_extra, _scan_family(), grid,
+                                n_quad=n_quad, dilations=tuple(dilations))
         out_dir = _out_dir(out)
         payload = {
             "schema_version": reports.SCHEMA_VERSION,
@@ -341,7 +364,7 @@ def operator_scan(curve_file, theta, q_extra, dilations, grid_half_width,
 @click.argument("curve_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, required=True)
 @click.option("--points", type=click.IntRange(min=1), default=50)
-@click.option("--n-quad", type=int, default=24)
+@click.option("--n-quad", type=_QUAD_NODES, default=24)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def operator_extension_endpoint(curve_file, seed, points, n_quad, out):
     """Check |extension(f)(z)| <= weighted L1 mass of f at sampled z."""

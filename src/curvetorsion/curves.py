@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonConvergence, SegmentHitsSingularity, SingularAtOrigin
-from .polynomials import CLUSTER_TOL, ComplexPolynomial, det2, det3, roots  # noqa: F401 (re-exported)
+from .polynomials import ComplexPolynomial, det2, det3, roots
 
 # Coefficient-residue factor below which a computed determinant counts as
 # identically zero (cancellation in the cofactor expansion is exact in theory

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CLUSTER_TOL, CurveGamma, AffineMap3, TorsionTriple, affine_apply
+from .curves import CurveGamma, AffineMap3, TorsionTriple, affine_apply
 from .errors import (
     ApertureTooWide,
     CurveTorsionError,
@@ -145,32 +145,37 @@ class Region:
 
     ``halfplanes`` hold every linear constraint (Voronoi bisectors, sector
     edges, convexification tangent and chord, inherited parent constraints);
-    ``polygon`` is the clipped convex boundary and is empty for unbounded
-    sector tails, where ``sampling_polygon`` carries a working-radius
-    truncation used for sampling only.  ``clipped`` is the working square
-    clipped by ``halfplanes`` in order, before vertex dedupe; children are
-    cut from it.
+    ``sampling_polygon`` is the clipped convex boundary, for unbounded
+    sector tails its working-radius truncation.  ``clipped`` is the working
+    square clipped by ``halfplanes`` in order, before vertex dedupe;
+    children are cut from it.
     """
 
     center: complex
     theta_range: tuple | None
     radial_range: tuple
     halfplanes: tuple
-    polygon: tuple
     sampling_polygon: tuple
     clipped: tuple
     parent_voronoi: int
     region_id: str
     unbounded: bool
     thickening: float
-    region_type: str | None = None
     sigma: SigmaExponents | None = None
     comparability: dict = field(default_factory=dict)
     comparability_stats: dict = field(default_factory=dict)
     apertures: dict = field(default_factory=dict)
     sector_flag: bool = False
-    band_scale: float | None = None
     depth: int = 0
+
+    @property
+    def region_type(self) -> str | None:
+        return None if self.sigma is None else self.sigma.region_type
+
+    @property
+    def polygon(self) -> tuple:
+        """The convex boundary; empty for unbounded sector tails."""
+        return () if self.unbounded else self.sampling_polygon
 
     def contains(self, z):
         """Membership by the center/sector/radius constraint set, to 1e-9
@@ -211,11 +216,7 @@ class D2Cell:
 class DecompositionReport:
     regions: list
     epsilon_used: float
-    thickening_B: float
     working_radius: float
-    dyadic_factor: float
-    cluster_tol: float
-    region_budget: int
     seed: int
     excluded_exponents_log: list = field(default_factory=list)
     root_info: dict = field(default_factory=dict)
@@ -312,7 +313,6 @@ def _build_region(
         theta_range=theta_range,
         radial_range=(r_lo, r_hi),
         halfplanes=tuple(halfplanes) + tuple(new),
-        polygon=() if unbounded else poly,
         sampling_polygon=poly,
         clipped=clipped,
         parent_voronoi=parent_voronoi,
@@ -511,7 +511,8 @@ def d1_decompose(Q: ComplexPolynomial, domain: Region | None, eps: float) -> lis
 def _radial_structure(Q, b, ctx):
     """Gap/dyadic radial intervals of Q around b.
 
-    Returns list of (lo, hi, kind, exponent, constant, scale).
+    Returns list of (lo, hi, kind, exponent, constant); a dyadic band's
+    constant is its radius.
     """
     Qt = Q.trimmed(1e-12)
     rs = ctx.root_sets[Qt]
@@ -549,15 +550,14 @@ def _radial_structure(Q, b, ctx):
     for lo_r, hi_r, cm in chains:
         gap_hi = lo_r / A
         if gap_hi > edge:
-            intervals.append((edge, gap_hi, "gap", inside, gap_constant(), None))
-        band_scale = math.sqrt(lo_r * hi_r)
-        intervals.append((max(edge, lo_r / A), hi_r * A, "dyadic", 0, band_scale, band_scale))
+            intervals.append((edge, gap_hi, "gap", inside, gap_constant()))
+        intervals.append((max(edge, lo_r / A), hi_r * A, "dyadic", 0, math.sqrt(lo_r * hi_r)))
         consumed = 0
         while far and far[0][0] <= hi_r * (1.0 + 1e-12):
             consumed += far.pop(0)[1]
         inside += consumed
         edge = hi_r * A
-    intervals.append((edge, math.inf, "gap", inside, gap_constant(), None))
+    intervals.append((edge, math.inf, "gap", inside, gap_constant()))
     return [iv for iv in intervals if iv[1] > iv[0]]
 
 
@@ -570,7 +570,7 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
     d_lo, d_hi = domain.radial_range
     structure = _radial_structure(Qt, complex(b), ctx)
     cells = []
-    for idx, (lo, hi, kind, k, c, scale) in enumerate(structure):
+    for idx, (lo, hi, kind, k, c) in enumerate(structure):
         lo2, hi2 = max(lo, d_lo), min(hi, d_hi)
         if hi2 <= lo2:
             continue
@@ -592,8 +592,6 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
             )
         if region is None:
             continue
-        if kind == "dyadic":
-            region.band_scale = scale
         cells.append(D2Cell(region, kind, int(k), float(c)))
     return cells
 
@@ -695,7 +693,6 @@ def _split_region(region: Region, ctx):
     """Split one region into two children (radial first, angular when tight)."""
     r_lo, r_hi = region.radial_range
     eps = ctx.eps
-    children_spec = None
     if not math.isfinite(r_hi):
         mid = ctx.working_radius / 16.0 if r_lo == 0.0 else 4.0 * r_lo
         children_spec = [((r_lo, mid), region.theta_range), ((mid, math.inf), region.theta_range)]
@@ -723,10 +720,8 @@ def _split_region(region: Region, ctx):
             depth=region.depth + 1,
         )
         if child is not None:
-            child.region_type = region.region_type
             child.sigma = region.sigma
             child.comparability = dict(region.comparability)
-            child.band_scale = region.band_scale
             children.append(child)
     return children
 
@@ -804,14 +799,15 @@ def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
 
     Gap annuli around b lie on the T0 side.  Dyadic bands, re-decomposed
     around the roots of Q, and the whole domain for a constant Q lie on
-    the T1 side.  Yields (region, center, k, c, on_T1_side).
+    the T1 side.  Yields (region, Comparability, on_T1_side).
     """
     for piece in _d2_cells(Q, b, domain, ctx, f"{name}:"):
         if piece.kind == "dyadic":
             for cell in _d1_cells(Q, piece.region, ctx, f"{name}i:"):
-                yield cell.region, cell.center, cell.exponent, cell.constant, True
+                yield cell.region, Comparability(cell.center, cell.exponent, cell.constant), True
         else:
-            yield piece.region, b, piece.exponent, piece.constant, piece.kind == "const"
+            comp = Comparability(b, piece.exponent, piece.constant)
+            yield piece.region, comp, piece.kind == "const"
 
 
 def _walk(tt: TorsionTriple, eps: float | None):
@@ -842,7 +838,6 @@ def _walk(tt: TorsionTriple, eps: float | None):
             working_half_width=ctx.half_width,
             clipped=ctx.square, region_id="all",
         )
-        whole.region_type = "T11"
         whole.sigma = SigmaExponents.from_exponents("T11", 0, 0, 0)
         whole.comparability = {
             name: Comparability(0j, 0, float(abs(p.coeffs[0]))) for name, p in polys.items()
@@ -851,18 +846,13 @@ def _walk(tt: TorsionTriple, eps: float | None):
     regions = []
     for cell3 in _d1_cells(L3, None, ctx, "L3:"):
         comp3 = Comparability(cell3.center, cell3.exponent, cell3.constant)
-        for piece1, b1, k1, c1, t1 in _split_by(L1, cell3.center, cell3.region, ctx, "L1"):
-            for region, b2, k2, c2, t2 in _split_by(L2, b1, piece1, ctx, "L2"):
+        for piece1, comp1, t1 in _split_by(L1, cell3.center, cell3.region, ctx, "L1"):
+            for region, comp2, t2 in _split_by(L2, comp1.center, piece1, ctx, "L2"):
                 rtype = REGION_TYPES[2 * t1 + t2]
                 # The T01 sigma row drops k_sub, T11 keeps it; both keep k1 in "L1".
-                k_sub = 0 if rtype == "T01" else k1
-                region.region_type = rtype
-                region.sigma = SigmaExponents.from_exponents(rtype, cell3.exponent, k_sub, k2)
-                region.comparability = {
-                    "L3": comp3,
-                    "L1": Comparability(b1, k1, c1),
-                    "L2": Comparability(b2, k2, c2),
-                }
+                k_sub = 0 if rtype == "T01" else comp1.k
+                region.sigma = SigmaExponents.from_exponents(rtype, cell3.exponent, k_sub, comp2.k)
+                region.comparability = {"L3": comp3, "L1": comp1, "L2": comp2}
                 regions.append(region)
     return regions, ctx, polys
 
@@ -876,11 +866,7 @@ def _finish(regions, ctx: _Context, polys: dict, seed: int) -> DecompositionRepo
     return DecompositionReport(
         regions=regions,
         epsilon_used=ctx.eps,
-        thickening_B=THICKENING,
         working_radius=ctx.working_radius,
-        dyadic_factor=DYADIC_FACTOR,
-        cluster_tol=CLUSTER_TOL,
-        region_budget=REGION_BUDGET,
         seed=seed,
         root_info=ctx.root_log,
     )

@@ -17,7 +17,7 @@ fixed here and used everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,12 +36,11 @@ _EXTENSION_REL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MeasurableSet:
-    """Ball or box in C^3 (= R^6) with cached Lebesgue volume."""
+    """Ball or box in C^3 (= R^6)."""
 
     kind: str
     center: tuple
     size: float
-    volume: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("ball", "box"):
@@ -52,11 +51,13 @@ class MeasurableSet:
         if len(center) != 3:
             raise ValueError("center must have three complex entries")
         object.__setattr__(self, "center", center)
+
+    @property
+    def volume(self) -> float:
+        """Lebesgue volume in R^6."""
         if self.kind == "ball":
-            vol = _BALL6_UNIT_VOLUME * self.size**6
-        else:
-            vol = (2.0 * self.size) ** 6
-        object.__setattr__(self, "volume", float(vol))
+            return float(_BALL6_UNIT_VOLUME * self.size**6)
+        return float((2.0 * self.size) ** 6)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Membership for an (n, 3) complex array."""
@@ -87,9 +88,8 @@ class MeasurableSet:
 
     def to_json(self) -> dict:
         return {
-            "kind": self.kind,
+            **vars(self),
             "center": [[c.real, c.imag] for c in self.center],
-            "size": self.size,
             "volume": self.volume,
         }
 
@@ -109,17 +109,7 @@ class WeakTypeReport:
     weak_type_gap: float
 
     def to_json(self) -> dict:
-        return {
-            "pairing": self.pairing,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "rwt_ratio": self.rwt_ratio,
-            "mc_samples": self.mc_samples,
-            "mc_stderr": self.mc_stderr,
-            "volume_e": self.volume_e,
-            "volume_f": self.volume_f,
-            "weak_type_gap": self.weak_type_gap,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -153,17 +143,21 @@ class BallSpec:
 
     x: float
     k_prime: int
-    nu: float = field(init=False)
-    radius: float = field(init=False)
 
     def __post_init__(self):
         if self.x <= 0:
             raise ValueError("x must be positive")
         if self.k_prime < 0:
             raise ValueError("k_prime must be nonnegative")
-        nu = 3.0 / (self.k_prime + 6.0)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "radius", (16.0 * math.pi * nu) ** (-nu) * self.x**nu)
+
+    @property
+    def nu(self) -> float:
+        return 3.0 / (self.k_prime + 6.0)
+
+    @property
+    def radius(self) -> float:
+        nu = self.nu
+        return (16.0 * math.pi * nu) ** (-nu) * self.x**nu
 
 
 def ball_measure_check(spec: BallSpec):

@@ -12,7 +12,8 @@ import io
 import json
 import math
 
-from .decomposition import DecompositionReport, Region
+from .decomposition import DYADIC_FACTOR, REGION_BUDGET, THICKENING, DecompositionReport, Region
+from .polynomials import CLUSTER_TOL
 
 SCHEMA_VERSION = 1
 
@@ -76,7 +77,7 @@ def region_json(region: Region) -> dict:
         "parent_voronoi": int(region.parent_voronoi),
         "unbounded": bool(region.unbounded),
         "sector_flag": bool(region.sector_flag),
-        "band_scale": None if region.band_scale is None else float(region.band_scale),
+        "band_scale": None,
         "sigma": None
         if sigma is None
         else {
@@ -108,11 +109,11 @@ def decomposition_json(report: DecompositionReport, curve_json: dict | None = No
         "kind": "decomposition",
         "curve": curve_json,
         "epsilon_used": float(report.epsilon_used),
-        "thickening_B": float(report.thickening_B),
+        "thickening_B": THICKENING,
         "working_radius": float(report.working_radius),
-        "dyadic_factor": float(report.dyadic_factor),
-        "cluster_tol": float(report.cluster_tol),
-        "region_budget": int(report.region_budget),
+        "dyadic_factor": DYADIC_FACTOR,
+        "cluster_tol": CLUSTER_TOL,
+        "region_budget": REGION_BUDGET,
         "region_count": int(report.region_count),
         "seed": int(report.seed),
         "excluded_exponents_log": report.excluded_exponents_log,

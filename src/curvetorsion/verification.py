@@ -39,12 +39,7 @@ class RatioSample:
     ratio: float
 
     def to_json(self) -> dict:
-        return {
-            "triple": [[z.real, z.imag] for z in self.triple],
-            "jacobian_mod": self.jacobian_mod,
-            "bound_value": self.bound_value,
-            "ratio": self.ratio,
-        }
+        return {**vars(self), "triple": [[z.real, z.imag] for z in self.triple]}
 
 
 @dataclass(frozen=True)
@@ -61,16 +56,7 @@ class VerificationReport:
     exploratory: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "region_id": self.region_id,
-            "n_samples": self.n_samples,
-            "min_ratio": self.min_ratio,
-            "median_ratio": self.median_ratio,
-            "max_ratio": self.max_ratio,
-            "worst_witness": self.worst_witness.to_json(),
-            "excluded_count": self.excluded_count,
-            "exploratory": self.exploratory,
-        }
+        return {**vars(self), "worst_witness": self.worst_witness.to_json()}
 
 
 def _bound_values(tt: TorsionTriple, z1, z2, z3):

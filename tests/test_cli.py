@@ -234,6 +234,32 @@ class TestOperatorCommands:
         validate(payload, "extension_endpoint.schema.json")
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "{curve}", "--seed", "7", "--eps", "0"],
+    ["analyze", "{curve}", "--seed", "7", "--eps", repr(-math.pi / 8)],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--e-center", "a,b,c,d,e,f"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--e-size", "-1"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--f-center", "1,2"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--f-size", "0"],
+    ["operator", "scan", "{curve}", "--theta", "1.5"],
+    ["operator", "scan", "{curve}", "--theta", "x"],
+    ["operator", "scan", "{curve}", "--q-extra", "3"],
+    ["operator", "scan", "{curve}", "--q-extra", "0.5:2"],
+    ["operator", "scan", "{curve}", "--dilations", "0"],
+    ["operator", "scan", "{curve}", "--n-quad", "2"],
+    ["operator", "ball-measure", "--k-prime", "0", "--x", "-1"],
+    ["jacobian-check", "{curve}", "--trials", "3", "--seed", "1", "--nodes", "2"],
+    ["operator", "extension-endpoint", "{curve}", "--seed", "2", "--n-quad", "2"],
+])
+def test_out_of_range_option_values_exit_2(tmp_path, moment_curve, args):
+    curve_file = str(write_curve(tmp_path, moment_curve))
+    out = tmp_path / "out"
+    res = RUNNER.invoke(main, [curve_file if a == "{curve}" else a for a in args]
+                        + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert not out.exists()
+
+
 class TestReplay:
     def test_replay_matches(self, tmp_path, moment_curve):
         curve_file = write_curve(tmp_path, moment_curve)

@@ -16,7 +16,7 @@ from curvetorsion import (
     d2_decompose,
     torsion_triple,
 )
-from curvetorsion import curves, decomposition, reports
+from curvetorsion import curves, decomposition, polynomials, reports
 from curvetorsion.curves import CurveGamma
 from curvetorsion.decomposition import (
     Comparability,
@@ -230,7 +230,7 @@ class TestClassify:
 
     def test_region_budget_and_count(self, suite_reports):
         for name, (_, _, rep) in suite_reports.items():
-            assert rep.region_count <= rep.region_budget
+            assert rep.region_count <= decomposition.REGION_BUDGET
 
     def test_polygons_convex(self, suite_reports):
         _, _, rep = suite_reports["mixed"]
@@ -318,9 +318,19 @@ class TestClassifyWalk:
 
     def test_no_dynamic_region_attributes(self, suite_reports):
         names = {f.name for f in dataclasses.fields(Region)}
-        for _, _, rep in suite_reports.values():
+        for curve, _, rep in suite_reports.values():
             for r in rep.regions:
                 assert set(vars(r)) == names
+                # derived values are read from their owners, never stored
+                assert not {"region_type", "polygon", "band_scale"} & set(vars(r))
+                assert r.region_type == r.sigma.region_type
+                assert r.polygon == (() if r.unbounded else r.sampling_polygon)
+            payload = reports.decomposition_json(rep, curve.to_json())
+            assert payload["thickening_B"] == decomposition.THICKENING
+            assert payload["dyadic_factor"] == decomposition.DYADIC_FACTOR
+            assert payload["cluster_tol"] == polynomials.CLUSTER_TOL
+            assert payload["region_budget"] == decomposition.REGION_BUDGET
+            assert all(r["band_scale"] is None for r in payload["regions"])
 
     def test_all_four_types_on_retry_curve(self):
         regions, _, _ = decomposition._walk(torsion_triple(RETRY_CURVE), math.pi / 8)

@@ -38,6 +38,8 @@ class TestMeasurableSet:
     def test_box_volume(self):
         box = MeasurableSet(kind="box", center=(1j, 0, 0), size=0.5)
         assert abs(box.volume - 1.0) <= 1e-12
+        assert set(vars(box)) == {"kind", "center", "size"}
+        assert box.to_json()["volume"] == box.volume
 
     def test_membership_and_sampling(self, rng):
         ball = MeasurableSet(kind="ball", center=(1, 1j, 0), size=1.5)
@@ -157,6 +159,7 @@ class TestBallMeasure:
 
     def test_invariants(self):
         spec = BallSpec(x=2.0, k_prime=4)
+        assert set(vars(spec)) == {"x", "k_prime"}
         assert spec.nu == pytest.approx(3.0 / 10.0)
         assert spec.radius == pytest.approx((16 * math.pi * spec.nu) ** -spec.nu * 2.0**spec.nu)
 
