@@ -187,9 +187,9 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
 @click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--nodes", type=_QUAD_NODES, default=16)
-@click.option("--box-radius", type=float, default=1.0,
+@click.option("--box-radius", type=_POSITIVE, default=1.0,
               help="Half-width of the sampling box for triples.")
-@click.option("--margin", type=float, default=0.35,
+@click.option("--margin", type=click.FloatRange(min=0), default=0.35,
               help="Minimum pole distance for a triple to count as admissible.")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def jacobian_check(curve_file, trials, seed, nodes, box_radius, margin, out):
@@ -235,7 +235,7 @@ def operator():
 @click.argument("curve_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, required=True)
 @click.option("--n-mc", type=click.IntRange(min=1), default=100_000)
-@click.option("--disk-radius", type=float, default=1.0)
+@click.option("--disk-radius", type=_POSITIVE, default=1.0)
 @click.option("--e-kind", type=click.Choice(["ball", "box"]), default="ball")
 @click.option("--e-center", default="0,0,0,0,0,0", callback=_comma_list(float, 6),
               help="Six comma-separated reals re1,im1,...,im3.")
@@ -327,7 +327,7 @@ def _scan_family():
               help="Extra rows 'p:q' separated by commas (q may be 'inf').")
 @click.option("--dilations", default="1.0", callback=_comma_list(_POSITIVE),
               help="Comma-separated positive dilation factors.")
-@click.option("--grid-half-width", type=float, default=4.0)
+@click.option("--grid-half-width", type=_POSITIVE, default=4.0)
 @click.option("--grid-points", type=click.IntRange(min=2), default=4)
 @click.option("--n-quad", type=_QUAD_NODES, default=16)
 @click.option("--out", type=click.Path(file_okay=False), default=None)

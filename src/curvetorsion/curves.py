@@ -62,11 +62,15 @@ class CurveGamma:
         vals = np.stack([np.asarray(c(zz)) for c in self.components], axis=-1)
         return vals
 
+    @cached_property
+    def derivatives(self) -> tuple:
+        """(P1', P2', P3'), built once."""
+        return tuple(c.derivative() for c in self.components)
+
     def derivative_frame(self):
         """Rows (P_i', P_i'', P_i''') as a 3x3 polynomial matrix."""
         rows = []
-        for c in self.components:
-            d1 = c.derivative()
+        for d1 in self.derivatives:
             d2 = d1.derivative()
             d3 = d2.derivative()
             rows.append((d1, d2, d3))

@@ -58,6 +58,8 @@ _REFINE_SAMPLES = 400
 _COMPARABILITY_SAMPLES = 500
 # Regions at which refinement stops splitting and flags what is left.
 REGION_BUDGET = 20_000
+# Regions per batched boundary measurement; bounds the stacked grids' memory.
+_CHUNK_REGIONS = 32
 # Candidate perturbation sizes of the affine retry, tried in this order.
 _RETRY_DELTAS = (1e-2, 1e-1)
 
@@ -629,52 +631,95 @@ def convexify(center: complex, theta_range, radial_range, *,
 # pipeline
 
 
-def _boundary_grid(region: Region, n_samples: int):
-    """About n_samples points along the region's sampling polygon, at
+class _Grids(NamedTuple):
+    """Boundary grids of a batch of regions, stacked.
+
+    ``pts`` holds each region's points in turn, its first at ``starts``;
+    ``seg`` is the batch index of every point's region and ``pos_err`` the
+    vertex position error of that region.
+    """
+
+    pts: np.ndarray
+    starts: np.ndarray
+    seg: np.ndarray
+    pos_err: np.ndarray
+
+
+def _boundary_grids(regions, n_samples: int) -> _Grids:
+    """About n_samples points along each region's sampling polygon, at
     least six per edge, and the position error of its vertices."""
-    poly = region.sampling_polygon
-    n = len(poly)
-    per_edge = max(6, n_samples // n)
-    ts = np.arange(per_edge, dtype=np.float64) / per_edge
-    pts = np.concatenate([poly[i] + (poly[(i + 1) % n] - poly[i]) * ts for i in range(n)])
-    return pts, 64.0 * 2.220446049250313e-16 * (np.max(np.abs(pts)) + 1e-30)
+    n_verts = np.array([len(r.sampling_polygon) for r in regions])
+    verts = np.array([v for r in regions for v in r.sampling_polygon], dtype=np.complex128)
+    first = np.cumsum(n_verts) - n_verts
+    nxt = np.arange(1, verts.size + 1)
+    nxt[first + n_verts - 1] = first
+    per_edge = np.maximum(6, n_samples // n_verts)
+    reps = np.repeat(per_edge, n_verts)
+    step = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    ts = step / np.repeat(reps, reps)
+    pts = np.repeat(verts, reps) + np.repeat(verts[nxt] - verts, reps) * ts
+    counts = n_verts * per_edge
+    starts = np.cumsum(counts) - counts
+    pos_err = 64.0 * 2.220446049250313e-16 * (np.maximum.reduceat(np.abs(pts), starts) + 1e-30)
+    seg = np.repeat(np.arange(len(regions)), counts)
+    return _Grids(pts, starts, seg, pos_err[seg])
 
 
-def _values_above_noise(poly: ComplexPolynomial, pts, pos_err: float):
+def _values_above_noise(poly: ComplexPolynomial, dpoly: ComplexPolynomial, grids: _Grids):
     """Values of poly at boundary points, and the mask of those kept.
 
     Boundary vertices carry clipping roundoff; near a root of the
     polynomial the resulting value is pure noise with a random argument,
     so values are kept only when they dominate both the evaluation error
-    and the value swing of a vertex-position error.
+    and the value swing of a vertex-position error.  ``dpoly`` is poly's
+    derivative.
     """
-    vals = np.asarray(poly(pts))
-    swing = np.abs(np.asarray(poly.derivative()(pts))) * pos_err
-    return vals, np.abs(vals) > 32.0 * _poly_noise_bound(poly.coeffs, pts) + 8.0 * swing
+    vals = poly(grids.pts)
+    swing = np.abs(dpoly(grids.pts)) * grids.pos_err
+    return vals, np.abs(vals) > 32.0 * _poly_noise_bound(poly.coeffs, grids.pts) + 8.0 * swing
 
 
-def _measure_apertures(region: Region, named_polys):
-    """Argument apertures of each polynomial over the region boundary.
+def _minimal_arcs(angles: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+    """``geometry.minimal_arc``'s aperture of each of n groups of angles in
+    [0, 2 pi], with 0 for fewer than two; ``seg`` (sorted) names each
+    angle's group.
+
+    Each group is a row padded past 2 pi and sorted; the widest gap, the
+    wrap-around one included, is left out of the cover.
+    """
+    counts = np.bincount(seg, minlength=n)
+    first = np.cumsum(counts) - counts
+    rows = np.full((n, max(int(counts.max(initial=0)), 1)), 2.0 * TAU)
+    rows[seg, np.arange(seg.size) - first[seg]] = angles
+    rows.sort(axis=1)
+    inner = np.diff(rows, axis=1)
+    inner[np.arange(inner.shape[1]) >= counts[:, None] - 1] = -np.inf
+    wrap = rows[:, 0] + TAU - rows[np.arange(n), np.maximum(counts - 1, 0)]
+    widest = np.maximum(inner.max(axis=1, initial=-np.inf), wrap)
+    return np.where(counts > 1, TAU - widest, 0.0)
+
+
+def _measure_apertures(regions, polys: dict, derivs: dict):
+    """Argument apertures of each polynomial over each region's boundary,
+    stored in ``region.apertures``.
 
     The argument of a zero-free analytic function on a convex cell takes
     its extremes on the boundary, so a deterministic boundary grid bounds
     every interior sample.  Zeros sit only at cell corners by construction
     and are skipped.
     """
-    pts, pos_err = _boundary_grid(region, _REFINE_SAMPLES)
-    out = {}
-    for name, poly in named_polys:
+    grids = _boundary_grids(regions, _REFINE_SAMPLES)
+    for region in regions:
+        region.apertures = {}
+    for name, poly in polys.items():
         if poly.degree <= 0:
-            out[name] = 0.0
-            continue
-        vals, kept = _values_above_noise(poly, pts, pos_err)
-        nz = vals[kept]
-        if nz.size == 0:
-            out[name] = 0.0
-            continue
-        aperture, _, _ = minimal_arc(np.angle(nz))
-        out[name] = aperture
-    return out
+            apertures = np.zeros(len(regions))
+        else:
+            vals, kept = _values_above_noise(poly, derivs[name], grids)
+            apertures = _minimal_arcs(np.mod(np.angle(vals[kept]), TAU), grids.seg[kept],
+                                      len(regions))
+        for region, aperture in zip(regions, apertures.tolist()):
+            region.apertures[name] = aperture
 
 
 def _child_thickening(theta_range) -> float:
@@ -729,69 +774,114 @@ def _split_region(region: Region, ctx):
 _REFINE_MARGIN = 0.98
 
 
-def _refine_regions(regions, named_polys_budgets, ctx):
+def _chunks(regions):
+    """The regions in consecutive batches of _CHUNK_REGIONS."""
+    for start in range(0, len(regions), _CHUNK_REGIONS):
+        yield regions[start:start + _CHUNK_REGIONS]
+
+
+def _refine_regions(regions, polys: dict, derivs: dict, ctx):
     """Bisect regions until every boundary aperture fits its budget.
 
     A small margin below the budget absorbs the discretization gap between
     the boundary grid used here and whatever sampling a later check uses.
+    The tree is measured a level at a time, while its leaves stay within
+    REGION_BUDGET, and then emitted in the order of a last-in first-out
+    queue that applies the depth cap and REGION_BUDGET; children measured
+    past a budget hit are dropped, and regions the levels did not reach
+    are measured as the queue meets them.
     """
+    limits = {
+        name: _REFINE_MARGIN * ((max(poly.degree, 0) + 1) * ctx.eps)
+        for name, poly in polys.items()
+    }
+
+    def over(region):
+        return any(region.apertures[name] > limit for name, limit in limits.items())
+
+    # Keyed by id(); ``measured`` holds every region measured ahead, so
+    # those ids stay unique while the queue runs.
+    measured, children = {}, {}
+    level, leaves = list(regions), 0
+    while level and leaves + len(level) <= REGION_BUDGET:
+        for chunk in _chunks(level):
+            _measure_apertures(chunk, polys, derivs)
+        measured.update((id(r), r) for r in level)
+        parents = [r for r in level if over(r) and r.depth < _REFINE_DEPTH_CAP]
+        leaves += len(level) - len(parents)
+        level = []
+        for region in parents:
+            children[id(region)] = _split_region(region, ctx)
+            level.extend(children[id(region)])
+
     out = []
     queue = list(regions)
     while queue:
         region = queue.pop()
-        apertures = _measure_apertures(region, [(n, p) for n, p, _ in named_polys_budgets])
-        region.apertures = apertures
-        over = [
-            name
-            for name, _, bud in named_polys_budgets
-            if apertures[name] > _REFINE_MARGIN * bud
-        ]
-        if not over:
+        if id(region) not in measured:
+            _measure_apertures([region], polys, derivs)
+        if not over(region):
             out.append(region)
             continue
         if region.depth >= _REFINE_DEPTH_CAP or len(out) + len(queue) >= REGION_BUDGET:
             region.sector_flag = True
             out.append(region)
             continue
-        children = _split_region(region, ctx)
-        if not children:
+        kids = children.get(id(region))
+        if kids is None:
+            kids = _split_region(region, ctx)
+        if not kids:
             region.sector_flag = True
             out.append(region)
             continue
-        queue.extend(children)
+        queue.extend(kids)
     return out
 
 
-def _measure_comparability(region: Region, polys: dict):
-    """Extremes of |L| / (c |z - b|**k) over the region boundary.
+def _measure_comparability(regions, polys: dict, derivs: dict):
+    """Extremes of |L| / (c |z - b|**k) over each region's boundary,
+    stored in ``region.comparability_stats``.
 
     The log of the ratio is harmonic on the cell (roots and centers sit at
     corners at worst), so boundary extremes bound every interior sample;
     corner points at roundoff level are dropped as in the aperture test.
+    A zero constant, a zero polynomial or no usable point gives
+    ``{"zero": True}``.
     """
-    stats = {}
-    pts, pos_err = _boundary_grid(region, _COMPARABILITY_SAMPLES)
-    for name, (center, k, c) in region.comparability.items():
-        poly = polys[name]
-        if c == 0.0 or poly.degree < 0:
-            stats[name] = {"zero": True}
-            continue
-        vals, kept = _values_above_noise(poly, pts, pos_err)
-        vals = np.abs(vals)
-        denom = c * np.abs(pts - center) ** k
-        good = (denom > 0) & (np.abs(pts - center) > 4.0 * pos_err) & kept
-        ratio = vals[good] / denom[good]
-        ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
-        if ratio.size == 0:
-            stats[name] = {"zero": True}
-            continue
-        lo, hi = float(np.min(ratio)), float(np.max(ratio))
-        stats[name] = {
-            "min_ratio": lo,
-            "max_ratio": hi,
-            "ratio_bound": 1.25 * max(hi, 1.0 / lo),
-        }
-    region.comparability_stats = stats
+    grids = _boundary_grids(regions, _COMPARABILITY_SAMPLES)
+    extremes = {}
+    for name, poly in polys.items():
+        comps = [r.comparability[name] for r in regions]
+        center = np.array([comp.center for comp in comps], dtype=np.complex128)[grids.seg]
+        k = np.array([comp.k for comp in comps])[grids.seg]
+        c = np.array([comp.c for comp in comps], dtype=np.float64)[grids.seg]
+        vals, kept = _values_above_noise(poly, derivs[name], grids)
+        dist = np.abs(grids.pts - center)
+        # Grouped by k, every power takes numpy's scalar-exponent path.
+        power = np.empty_like(dist)
+        for kk in {comp.k for comp in comps}:
+            sel = k == kk
+            power[sel] = dist[sel] ** kk
+        denom = c * power
+        good = (denom > 0) & (dist > 4.0 * grids.pos_err) & kept
+        ratio = np.full(dist.shape, np.nan)
+        np.divide(np.abs(vals), denom, out=ratio, where=good)
+        valid = np.isfinite(ratio) & (ratio > 0)
+        extremes[name] = list(zip(
+            np.logical_or.reduceat(valid, grids.starts).tolist(),
+            np.minimum.reduceat(np.where(valid, ratio, np.inf), grids.starts).tolist(),
+            np.maximum.reduceat(np.where(valid, ratio, -np.inf), grids.starts).tolist(),
+        ))
+    for i, region in enumerate(regions):
+        stats = {}
+        for name in region.comparability:
+            found, lo, hi = extremes[name][i]
+            stats[name] = {
+                "min_ratio": lo,
+                "max_ratio": hi,
+                "ratio_bound": 1.25 * max(hi, 1.0 / lo),
+            } if found else {"zero": True}
+        region.comparability_stats = stats
 
 
 def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
@@ -859,10 +949,10 @@ def _walk(tt: TorsionTriple, eps: float | None):
 
 def _finish(regions, ctx: _Context, polys: dict, seed: int) -> DecompositionReport:
     """Refine and measure the walk's regions, and report them."""
-    budgets = [(name, poly, (max(poly.degree, 0) + 1) * ctx.eps) for name, poly in polys.items()]
-    regions = _refine_regions(regions, budgets, ctx)
-    for region in regions:
-        _measure_comparability(region, polys)
+    derivs = {name: poly.derivative() for name, poly in polys.items()}
+    regions = _refine_regions(regions, polys, derivs, ctx)
+    for chunk in _chunks(regions):
+        _measure_comparability(chunk, polys, derivs)
     return DecompositionReport(
         regions=regions,
         epsilon_used=ctx.eps,

@@ -56,19 +56,29 @@ def phi_alt(curve: CurveGamma, t: Triple) -> np.ndarray:
     return -curve(t.z1) + curve(t.z2) - curve(t.z3)
 
 
-def _det3_values(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray):
-    """Cofactor determinant of columns; exactly antisymmetric in c1 <-> c2."""
-    a, d, g = c1[..., 0], c1[..., 1], c1[..., 2]
-    b, e, h = c2[..., 0], c2[..., 1], c2[..., 2]
-    c, f, i = c3[..., 0], c3[..., 1], c3[..., 2]
+def _det3_entries(c1, c2, c3):
+    """Cofactor determinant of three columns, each given as its three
+    entries; exactly antisymmetric in c1 <-> c2."""
+    a, d, g = c1
+    b, e, h = c2
+    c, f, i = c3
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _det3_values(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray):
+    """Cofactor determinant of (..., 3) column arrays."""
+    return _det3_entries(*((col[..., 0], col[..., 1], col[..., 2]) for col in (c1, c2, c3)))
+
+
+def _derivative_values(curve: CurveGamma, z) -> list:
+    """[P1'(z), P2'(z), P3'(z)], each an array shaped like z."""
+    zz = np.asarray(z, dtype=np.complex128)
+    return [np.asarray(d(zz)) for d in curve.derivatives]
 
 
 def derivative_columns(curve: CurveGamma, z):
     """Gamma'(z) as an (..., 3) array."""
-    zz = np.asarray(z, dtype=np.complex128)
-    ders = [c.derivative() for c in curve.components]
-    return np.stack([np.asarray(d(zz)) for d in ders], axis=-1)
+    return np.stack(_derivative_values(curve, z), axis=-1)
 
 
 def jacobian_direct(curve: CurveGamma, t: Triple) -> complex:
@@ -78,11 +88,7 @@ def jacobian_direct(curve: CurveGamma, t: Triple) -> complex:
 
 def jacobian_direct_batch(curve: CurveGamma, z1, z2, z3) -> np.ndarray:
     """Vectorized ``jacobian_direct`` over arrays of triples."""
-    return _det3_values(
-        derivative_columns(curve, z1),
-        derivative_columns(curve, z2),
-        derivative_columns(curve, z3),
-    )
+    return _det3_entries(*(_derivative_values(curve, z) for z in (z1, z2, z3)))
 
 
 def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> float:

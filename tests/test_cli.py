@@ -250,6 +250,11 @@ class TestOperatorCommands:
     ["operator", "ball-measure", "--k-prime", "0", "--x", "-1"],
     ["jacobian-check", "{curve}", "--trials", "3", "--seed", "1", "--nodes", "2"],
     ["operator", "extension-endpoint", "{curve}", "--seed", "2", "--n-quad", "2"],
+    ["jacobian-check", "{curve}", "--trials", "3", "--seed", "1", "--box-radius", "0"],
+    ["jacobian-check", "{curve}", "--trials", "3", "--seed", "1", "--margin", "-1"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--disk-radius", "-1"],
+    ["operator", "scan", "{curve}", "--grid-half-width", "0"],
+    ["operator", "scan", "{curve}", "--grid-half-width", "-1"],
 ])
 def test_out_of_range_option_values_exit_2(tmp_path, moment_curve, args):
     curve_file = str(write_curve(tmp_path, moment_curve))

@@ -24,7 +24,13 @@ from curvetorsion.decomposition import (
     Region,
     exponent_exclusions_ok,
 )
-from curvetorsion.geometry import clip_halfplane, is_convex, point_in_polygon, square_polygon
+from curvetorsion.geometry import (
+    clip_halfplane,
+    is_convex,
+    minimal_arc,
+    point_in_polygon,
+    square_polygon,
+)
 from curvetorsion.polynomials import ComplexPolynomial
 
 from conftest import poly, validate
@@ -398,8 +404,8 @@ class TestClippedPolygon:
 
 @pytest.fixture(scope="module")
 def retry_run():
-    """The retry curve classified, then retried with its refine and measure
-    stages counted."""
+    """The retry curve classified, then retried with its refinements and
+    the regions passed to the batched comparability measurement counted."""
     rep = classify_regions(torsion_triple(RETRY_CURVE))
     counts = {"refined": 0, "measured": 0}
     real_refine = decomposition._refine_regions
@@ -409,9 +415,9 @@ def retry_run():
         counts["refined"] += 1
         return real_refine(*args)
 
-    def counting_measure(*args):
-        counts["measured"] += 1
-        return real_measure(*args)
+    def counting_measure(regions, *args):
+        counts["measured"] += len(regions)
+        return real_measure(regions, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decomposition, "_refine_regions", counting_refine)
@@ -455,3 +461,139 @@ class TestAffineRetry:
         assert not exponent_exclusions_ok(SigmaExponents.from_exponents("T10", 0, 1, 0))
         assert not exponent_exclusions_ok(SigmaExponents.from_exponents("T00", 2, 1, 2))
         assert exponent_exclusions_ok(SigmaExponents.from_exponents("T00", 3, 0, 0))
+
+
+# Per-region references: the measurement bodies before they were batched.
+
+
+def _reference_grid(region, n_samples):
+    poly = region.sampling_polygon
+    n = len(poly)
+    per_edge = max(6, n_samples // n)
+    ts = np.arange(per_edge, dtype=np.float64) / per_edge
+    pts = np.concatenate([poly[i] + (poly[(i + 1) % n] - poly[i]) * ts for i in range(n)])
+    return pts, 64.0 * 2.220446049250313e-16 * (np.max(np.abs(pts)) + 1e-30)
+
+
+def _reference_values_above_noise(poly, pts, pos_err):
+    vals = np.asarray(poly(pts))
+    swing = np.abs(np.asarray(poly.derivative()(pts))) * pos_err
+    noise = polynomials._eval_error_bound(poly.coeffs, pts)
+    return vals, np.abs(vals) > 32.0 * noise + 8.0 * swing
+
+
+def reference_apertures(region, polys):
+    pts, pos_err = _reference_grid(region, decomposition._REFINE_SAMPLES)
+    out = {}
+    for name, poly in polys.items():
+        if poly.degree <= 0:
+            out[name] = 0.0
+            continue
+        vals, kept = _reference_values_above_noise(poly, pts, pos_err)
+        nz = vals[kept]
+        out[name] = 0.0 if nz.size == 0 else minimal_arc(np.angle(nz))[0]
+    return out
+
+
+def reference_comparability(region, polys):
+    stats = {}
+    pts, pos_err = _reference_grid(region, decomposition._COMPARABILITY_SAMPLES)
+    for name, (center, k, c) in region.comparability.items():
+        poly = polys[name]
+        if c == 0.0 or poly.degree < 0:
+            stats[name] = {"zero": True}
+            continue
+        vals, kept = _reference_values_above_noise(poly, pts, pos_err)
+        vals = np.abs(vals)
+        denom = c * np.abs(pts - center) ** k
+        good = (denom > 0) & (np.abs(pts - center) > 4.0 * pos_err) & kept
+        ratio = vals[good] / denom[good]
+        ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
+        if ratio.size == 0:
+            stats[name] = {"zero": True}
+            continue
+        lo, hi = float(np.min(ratio)), float(np.max(ratio))
+        stats[name] = {"min_ratio": lo, "max_ratio": hi, "ratio_bound": 1.25 * max(hi, 1.0 / lo)}
+    return stats
+
+
+def reference_refine(regions, polys, ctx):
+    """Last-in first-out refinement, one region measured at a time."""
+    limits = {n: (max(p.degree, 0) + 1) * ctx.eps for n, p in polys.items()}
+    out = []
+    queue = list(regions)
+    while queue:
+        region = queue.pop()
+        region.apertures = reference_apertures(region, polys)
+        if not any(region.apertures[n] > decomposition._REFINE_MARGIN * b
+                   for n, b in limits.items()):
+            out.append(region)
+            continue
+        if (region.depth >= decomposition._REFINE_DEPTH_CAP
+                or len(out) + len(queue) >= decomposition.REGION_BUDGET):
+            region.sector_flag = True
+            out.append(region)
+            continue
+        children = decomposition._split_region(region, ctx)
+        if not children:
+            region.sector_flag = True
+            out.append(region)
+            continue
+        queue.extend(children)
+    return out
+
+
+def _refined(regions):
+    return [(r.region_id, r.depth, r.sector_flag, r.apertures) for r in regions]
+
+
+class TestBatchedMeasurement:
+    @pytest.fixture(scope="class")
+    def measured_sets(self, suite_reports, retry_run):
+        """(polys, regions, reference apertures, reference stats) for every
+        suite curve and for the retry curve before and after its retry;
+        the regions are copies of the walk regions and the refined ones, at
+        most about a thousand of each curve."""
+        rep, (curve2, _, rep2), _ = retry_run
+        triples = [tt for _, tt, _ in suite_reports.values()]
+        triples += [torsion_triple(RETRY_CURVE), torsion_triple(curve2)]
+        reports = [r for _, _, r in suite_reports.values()] + [rep, rep2]
+        out = []
+        for tt, report in zip(triples, reports):
+            walked, _, polys = decomposition._walk(tt, report.epsilon_used)
+            regions = walked + report.regions
+            regions = [dataclasses.replace(r) for r in regions[::1 + len(regions) // 1000]]
+            out.append((
+                polys,
+                regions,
+                [reference_apertures(r, polys) for r in regions],
+                [reference_comparability(r, polys) for r in regions],
+            ))
+        return out
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_apertures_and_stats_match_per_region_reference(self, monkeypatch,
+                                                            measured_sets, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(decomposition, "_CHUNK_REGIONS", chunk)
+        for polys, regions, apertures, stats in measured_sets:
+            derivs = {name: p.derivative() for name, p in polys.items()}
+            for batch in decomposition._chunks(regions):
+                decomposition._measure_apertures(batch, polys, derivs)
+                decomposition._measure_comparability(batch, polys, derivs)
+            assert [r.apertures for r in regions] == apertures
+            assert [r.comparability_stats for r in regions] == stats
+
+    @pytest.mark.parametrize("budget", [300, 3000])
+    def test_budget_hit_keeps_lifo_order(self, monkeypatch, curve_mixed, budget):
+        # 300 is below the 2,792 walk regions, so no level is measured
+        # ahead; 3000 measures the first level ahead and drops children
+        # built past the hit.  No benchmark workload reaches this path.
+        monkeypatch.setattr(decomposition, "REGION_BUDGET", budget)
+        tt = curve_mixed.torsion
+        walked, ctx, polys = decomposition._walk(tt, None)
+        derivs = {name: p.derivative() for name, p in polys.items()}
+        got = decomposition._refine_regions(walked, polys, derivs, ctx)
+        expected = reference_refine(decomposition._walk(tt, None)[0], polys, ctx)
+        assert _refined(got) == _refined(expected)
+        assert any(r.sector_flag for r in got)

@@ -1,0 +1,107 @@
+"""Property tests of the real-arithmetic polygon sampler and of the
+Jacobian built from the curve's cached derivatives."""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from curvetorsion.curves import CurveGamma
+from curvetorsion.geometry import (
+    _edge_terms,
+    _in_polygon_parts,
+    point_in_polygon,
+    polygon_bbox,
+    sample_polygon,
+)
+from curvetorsion.jacobian import (
+    Triple,
+    _det3_values,
+    derivative_columns,
+    jacobian_direct,
+    jacobian_direct_batch,
+)
+from curvetorsion.polynomials import ComplexPolynomial
+
+
+def reference_sample(poly, n, rng):
+    """The rejection loop with complex membership tests."""
+    re0, re1, im0, im1 = polygon_bbox(poly)
+    out = np.empty(n, dtype=np.complex128)
+    got = 0
+    while got < n:
+        batch = max(256, 2 * (n - got))
+        re = rng.uniform(re0, re1, batch)
+        im = rng.uniform(im0, im1, batch)
+        z = re + 1j * im
+        hits = z[point_in_polygon(z, poly)]
+        take = min(hits.size, n - got)
+        out[got:got + take] = hits[:take]
+        got += take
+    return out
+
+
+@st.composite
+def convex_polygons(draw):
+    """3-8 vertices on a stretched circle, counterclockwise."""
+    weights = draw(st.lists(st.floats(1.0, 3.0), min_size=3, max_size=8))
+    start = draw(st.floats(0.0, 2.0 * math.pi))
+    radius = 10.0 ** draw(st.floats(-3.0, 3.0))
+    stretch = draw(st.floats(0.2, 5.0))
+    cx, cy = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    total = sum(weights)
+    poly, angle = [], start
+    for w in weights:
+        poly.append(complex(cx + stretch * radius * math.cos(angle),
+                            cy + radius * math.sin(angle)))
+        angle += 2.0 * math.pi * w / total
+    return tuple(poly)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(poly=convex_polygons(), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_sample_polygon_matches_complex_rejection_loop(poly, n, seed):
+    got = sample_polygon(poly, n, np.random.default_rng(seed))
+    assert got.tobytes() == reference_sample(poly, n, np.random.default_rng(seed)).tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(poly=convex_polygons(),
+       spots=st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 1.0)), min_size=1, max_size=60))
+def test_real_membership_matches_complex_on_edge_points(poly, spots):
+    # Points interpolated along the edges sit within roundoff of them, where
+    # a fused and a twice-rounded edge value can differ in sign; about a
+    # fifth of them take the exact-zero path.
+    z = np.array([poly[i % len(poly)] + t * (poly[(i + 1) % len(poly)] - poly[i % len(poly)])
+                  for i, t in spots])
+    got = _in_polygon_parts(z.real.copy(), z.imag.copy(), poly, _edge_terms(poly))
+    assert np.array_equal(got, point_in_polygon(z, poly))
+
+
+parts = st.floats(-3.0, 3.0, allow_nan=False)
+coeff_lists = st.lists(st.builds(complex, parts, parts), min_size=1, max_size=6)
+point_arrays = st.lists(st.tuples(parts, parts), min_size=1, max_size=20)
+
+
+def reference_columns(curve, z):
+    """Derivative columns with the derivatives rebuilt on every call."""
+    zz = np.asarray(z, dtype=np.complex128)
+    return np.stack([np.asarray(c.derivative()(zz)) for c in curve.components], axis=-1)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(comps=st.tuples(coeff_lists, coeff_lists, coeff_lists),
+       pts=st.tuples(point_arrays, point_arrays, point_arrays))
+def test_jacobian_with_cached_derivatives_is_bitwise_the_cofactor_of_columns(comps, pts):
+    curve = CurveGamma.from_components(*(ComplexPolynomial(c) for c in comps))
+    size = min(len(p) for p in pts)
+    z1, z2, z3 = (np.array([complex(*xy) for xy in p[:size]]) for p in pts)
+    got = jacobian_direct_batch(curve, z1, z2, z3).tobytes()
+    assert got == _det3_values(*(derivative_columns(curve, z) for z in (z1, z2, z3))).tobytes()
+    assert got == _det3_values(*(reference_columns(curve, z) for z in (z1, z2, z3))).tobytes()
+    single = jacobian_direct(curve, Triple(complex(z1[0]), complex(z2[0]), complex(z3[0])))
+    expected = _det3_values(*(reference_columns(curve, complex(z[0])) for z in (z1, z2, z3)))
+    assert np.asarray(single).tobytes() == np.asarray(complex(expected)).tobytes()
