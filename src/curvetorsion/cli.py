@@ -10,6 +10,7 @@ explicit seeds.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -112,18 +113,25 @@ def _pq_pair(text: str) -> PQPair:
     return PQPair(p=float(p_txt), q=float(q_txt))
 
 
-def _run(fn):
-    try:
-        fn()
-    except _Failure as failure:
-        click.echo(reports.canonical_json(reports.error_json(failure.exc)), nl=False)
-        sys.exit(failure.code)
-    except _NUMERICAL_ERRORS as exc:
-        click.echo(reports.canonical_json(reports.error_json(exc)), nl=False)
-        sys.exit(EXIT_NUMERICAL)
-    except CurveTorsionError as exc:
-        click.echo(reports.canonical_json(reports.error_json(exc)), nl=False)
-        sys.exit(EXIT_INPUT)
+def _run(command):
+    """Guard a command: a failure prints its error JSON and exits with its
+    code."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except _Failure as failure:
+            click.echo(reports.canonical_json(reports.error_json(failure.exc)), nl=False)
+            sys.exit(failure.code)
+        except _NUMERICAL_ERRORS as exc:
+            click.echo(reports.canonical_json(reports.error_json(exc)), nl=False)
+            sys.exit(EXIT_NUMERICAL)
+        except CurveTorsionError as exc:
+            click.echo(reports.canonical_json(reports.error_json(exc)), nl=False)
+            sys.exit(EXIT_INPUT)
+
+    return guarded
 
 
 @click.group()
@@ -142,44 +150,41 @@ def main():
 @click.option("--exploratory", is_flag=True,
               help="Also sample inadmissible regions (reported, never asserted).")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
+@_run
 def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
     """Decompose, verify, and map a curve: writes decomposition.json,
     verification.json, and regions.svg."""
-
-    def body():
-        curve = _load_curve(curve_file)
-        if curve.torsion.degenerate:
-            raise DegenerateTorsion("curve torsion vanishes identically")
-        report = classify_regions(curve.torsion, eps=eps, seed=seed)
-        used_curve = curve
-        if retry and report.inadmissible():
-            used_curve, _amap, report = affine_retry(curve, report, eps=eps)
-        entries = []
-        skipped = []
-        for idx, region in enumerate(report.regions):
-            region_seed = int(
-                np.random.default_rng([seed & 0x7FFFFFFF, idx]).integers(0, 2**31 - 1)
-            )
-            if admissible(region.sigma) or exploratory:
-                rep = verify_region(used_curve, region, region.sigma, samples, region_seed,
-                                    exploratory=not admissible(region.sigma))
-                entries.append(rep.to_json())
-            else:
-                skipped.append({"region_id": region.region_id,
-                                "reason": "inadmissible",
-                                "sigma": list(region.sigma.sigma)})
-        out_dir = _out_dir(out)
-        curve_json = used_curve.to_json()
-        reports.write_json(out_dir / "decomposition.json",
-                           reports.decomposition_json(report, curve_json))
-        reports.write_json(out_dir / "verification.json",
-                           reports.verification_json(curve_json, entries, skipped, seed))
-        (out_dir / "regions.svg").write_text(reports.svg_region_map(report),
-                                             encoding="utf-8")
-        click.echo(f"regions={report.region_count} verified={len(entries)} "
-                   f"skipped={len(skipped)}")
-
-    _run(body)
+    curve = _load_curve(curve_file)
+    if curve.torsion.degenerate:
+        raise DegenerateTorsion("curve torsion vanishes identically")
+    report = classify_regions(curve.torsion, eps=eps, seed=seed)
+    used_curve = curve
+    if retry and report.inadmissible():
+        used_curve, _amap, report = affine_retry(curve, report, eps=eps)
+    entries = []
+    skipped = []
+    for idx, region in enumerate(report.regions):
+        region_seed = int(
+            np.random.default_rng([seed & 0x7FFFFFFF, idx]).integers(0, 2**31 - 1)
+        )
+        if admissible(region.sigma) or exploratory:
+            rep = verify_region(used_curve, region, region.sigma, samples, region_seed,
+                                exploratory=not admissible(region.sigma))
+            entries.append(rep.to_json())
+        else:
+            skipped.append({"region_id": region.region_id,
+                            "reason": "inadmissible",
+                            "sigma": list(region.sigma.sigma)})
+    out_dir = _out_dir(out)
+    curve_json = used_curve.to_json()
+    reports.write_json(out_dir / "decomposition.json",
+                       reports.decomposition_json(report, curve_json))
+    reports.write_json(out_dir / "verification.json",
+                       reports.verification_json(curve_json, entries, skipped, seed))
+    (out_dir / "regions.svg").write_text(reports.svg_region_map(report),
+                                         encoding="utf-8")
+    click.echo(f"regions={report.region_count} verified={len(entries)} "
+               f"skipped={len(skipped)}")
 
 
 @main.command("jacobian-check")
@@ -192,38 +197,35 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
 @click.option("--margin", type=click.FloatRange(min=0), default=0.35,
               help="Minimum pole distance for a triple to count as admissible.")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
+@_run
 def jacobian_check(curve_file, trials, seed, nodes, box_radius, margin, out):
     """Compare the integral and direct Jacobian on random admissible triples."""
-
-    def body():
-        curve = _load_curve(curve_file)
-        if curve.torsion.degenerate:
-            raise DegenerateTorsion("curve torsion vanishes identically")
-        result = jacobian_identity_trials(
-            curve, trials, seed,
-            q=QuadratureSpec(nodes_per_segment=nodes),
-            box_radius=box_radius, margin=margin,
-        )
-        payload = {
-            "schema_version": reports.SCHEMA_VERSION,
-            "kind": "jacobian_check",
-            "curve": curve.to_json(),
-            "nodes": nodes,
-            "seed": seed,
-            "box_radius": box_radius,
-            "margin": margin,
-            **result,
-        }
-        reports.write_json(_out_dir(out) / "jacobian_check.json", payload)
-        click.echo(
-            f"passes={result['passes']} failures={result['failures']} "
-            f"excluded={result['excluded_count']} "
-            f"worst={result['worst_relative_deviation']:.3e}"
-        )
-        if result["failures"] > 0 or result["passes"] < trials:
-            sys.exit(EXIT_VERIFICATION)
-
-    _run(body)
+    curve = _load_curve(curve_file)
+    if curve.torsion.degenerate:
+        raise DegenerateTorsion("curve torsion vanishes identically")
+    result = jacobian_identity_trials(
+        curve, trials, seed,
+        q=QuadratureSpec(nodes_per_segment=nodes),
+        box_radius=box_radius, margin=margin,
+    )
+    payload = {
+        "schema_version": reports.SCHEMA_VERSION,
+        "kind": "jacobian_check",
+        "curve": curve.to_json(),
+        "nodes": nodes,
+        "seed": seed,
+        "box_radius": box_radius,
+        "margin": margin,
+        **result,
+    }
+    reports.write_json(_out_dir(out) / "jacobian_check.json", payload)
+    click.echo(
+        f"passes={result['passes']} failures={result['failures']} "
+        f"excluded={result['excluded_count']} "
+        f"worst={result['worst_relative_deviation']:.3e}"
+    )
+    if result["failures"] > 0 or result["passes"] < trials:
+        sys.exit(EXIT_VERIFICATION)
 
 
 @main.group()
@@ -245,63 +247,57 @@ def operator():
               help="Six comma-separated reals re1,im1,...,im3.")
 @click.option("--f-size", type=_POSITIVE, default=1.0)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
+@_run
 def operator_pairing(curve_file, seed, n_mc, disk_radius, e_kind, e_center,
                      e_size, f_kind, f_center, f_size, out):
     """Restricted weak-type pairing estimate for a set pair."""
-
-    def body():
-        curve = _load_curve(curve_file)
-        E = MeasurableSet(kind=e_kind, center=_center(e_center), size=e_size)
-        F = MeasurableSet(kind=f_kind, center=_center(f_center), size=f_size)
-        rep = pairing(curve, E, F, disk_radius, n_mc, seed)
-        payload = {
-            "schema_version": reports.SCHEMA_VERSION,
-            "kind": "weak_type",
-            "curve": curve.to_json(),
-            "seed": seed,
-            "disk_radius": disk_radius,
-            "set_e": E.to_json(),
-            "set_f": F.to_json(),
-            "report": rep.to_json(),
-        }
-        out_dir = _out_dir(out)
-        reports.write_json(out_dir / "weaktype.json", payload)
-        fields = ["pairing", "alpha", "beta", "rwt_ratio", "mc_samples", "mc_stderr",
-                  "volume_e", "volume_f", "weak_type_gap"]
-        (out_dir / "weaktype.csv").write_text(
-            reports.rows_to_csv([rep.to_json()], fields), encoding="utf-8"
-        )
-        click.echo(f"pairing={rep.pairing:.6g} rwt_ratio={rep.rwt_ratio:.6g}")
-
-    _run(body)
+    curve = _load_curve(curve_file)
+    E = MeasurableSet(kind=e_kind, center=_center(e_center), size=e_size)
+    F = MeasurableSet(kind=f_kind, center=_center(f_center), size=f_size)
+    rep = pairing(curve, E, F, disk_radius, n_mc, seed)
+    payload = {
+        "schema_version": reports.SCHEMA_VERSION,
+        "kind": "weak_type",
+        "curve": curve.to_json(),
+        "seed": seed,
+        "disk_radius": disk_radius,
+        "set_e": E.to_json(),
+        "set_f": F.to_json(),
+        "report": rep.to_json(),
+    }
+    out_dir = _out_dir(out)
+    reports.write_json(out_dir / "weaktype.json", payload)
+    fields = ["pairing", "alpha", "beta", "rwt_ratio", "mc_samples", "mc_stderr",
+              "volume_e", "volume_f", "weak_type_gap"]
+    (out_dir / "weaktype.csv").write_text(
+        reports.rows_to_csv([rep.to_json()], fields), encoding="utf-8"
+    )
+    click.echo(f"pairing={rep.pairing:.6g} rwt_ratio={rep.rwt_ratio:.6g}")
 
 
 @operator.command("ball-measure")
 @click.option("--k-prime", type=click.IntRange(min=0), required=True)
 @click.option("--x", type=_POSITIVE, required=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
+@_run
 def operator_ball_measure(k_prime, x, out):
     """Weighted measure of the calibrated ball against x / 8."""
-
-    def body():
-        spec = BallSpec(x=x, k_prime=k_prime)
-        sigma, target = ball_measure_check(spec)
-        payload = {
-            "schema_version": reports.SCHEMA_VERSION,
-            "kind": "ball_measure",
-            "k_prime": k_prime,
-            "x": x,
-            "nu": spec.nu,
-            "radius": spec.radius,
-            "sigma_measure": sigma,
-            "target": target,
-        }
-        reports.write_json(_out_dir(out) / "ball_measure.json", payload)
-        click.echo(f"{sigma:.6g} vs target {target:.6g}")
-        if abs(sigma - target) > 1e-12 * max(1.0, abs(target)):
-            sys.exit(EXIT_VERIFICATION)
-
-    _run(body)
+    spec = BallSpec(x=x, k_prime=k_prime)
+    sigma, target = ball_measure_check(spec)
+    payload = {
+        "schema_version": reports.SCHEMA_VERSION,
+        "kind": "ball_measure",
+        "k_prime": k_prime,
+        "x": x,
+        "nu": spec.nu,
+        "radius": spec.radius,
+        "sigma_measure": sigma,
+        "target": target,
+    }
+    reports.write_json(_out_dir(out) / "ball_measure.json", payload)
+    click.echo(f"{sigma:.6g} vs target {target:.6g}")
+    if abs(sigma - target) > 1e-12 * max(1.0, abs(target)):
+        sys.exit(EXIT_VERIFICATION)
 
 
 def _scan_family():
@@ -331,33 +327,30 @@ def _scan_family():
 @click.option("--grid-points", type=click.IntRange(min=2), default=4)
 @click.option("--n-quad", type=_QUAD_NODES, default=16)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
+@_run
 def operator_scan(curve_file, theta, q_extra, dilations, grid_half_width,
                   grid_points, n_quad, out):
     """Output/input norm-ratio table over exponent pairs and test functions."""
-
-    def body():
-        curve = _load_curve(curve_file)
-        grid = GridSpec(half_width=grid_half_width, points_per_axis=grid_points)
-        table = norm_ratio_scan(curve, theta + q_extra, _scan_family(), grid,
-                                n_quad=n_quad, dilations=tuple(dilations))
-        out_dir = _out_dir(out)
-        payload = {
-            "schema_version": reports.SCHEMA_VERSION,
-            "kind": "norm_scan",
-            "curve": curve.to_json(),
-            "grid": {"half_width": grid_half_width, "points_per_axis": grid_points},
-            "n_quad": n_quad,
-            "rows": reports.json_sanitize(table["rows"]),
-            "flatness": reports.json_sanitize(table["flatness"]),
-        }
-        reports.write_json(out_dir / "scan.json", payload)
-        fields = ["p", "q", "theta", "function", "dilation", "lq_norm", "lp_norm", "ratio"]
-        (out_dir / "scan.csv").write_text(
-            reports.rows_to_csv(table["rows"], fields), encoding="utf-8"
-        )
-        click.echo(f"rows={len(table['rows'])}")
-
-    _run(body)
+    curve = _load_curve(curve_file)
+    grid = GridSpec(half_width=grid_half_width, points_per_axis=grid_points)
+    table = norm_ratio_scan(curve, theta + q_extra, _scan_family(), grid,
+                            n_quad=n_quad, dilations=tuple(dilations))
+    out_dir = _out_dir(out)
+    payload = {
+        "schema_version": reports.SCHEMA_VERSION,
+        "kind": "norm_scan",
+        "curve": curve.to_json(),
+        "grid": {"half_width": grid_half_width, "points_per_axis": grid_points},
+        "n_quad": n_quad,
+        "rows": reports.json_sanitize(table["rows"]),
+        "flatness": reports.json_sanitize(table["flatness"]),
+    }
+    reports.write_json(out_dir / "scan.json", payload)
+    fields = ["p", "q", "theta", "function", "dilation", "lq_norm", "lp_norm", "ratio"]
+    (out_dir / "scan.csv").write_text(
+        reports.rows_to_csv(table["rows"], fields), encoding="utf-8"
+    )
+    click.echo(f"rows={len(table['rows'])}")
 
 
 @operator.command("extension-endpoint")
@@ -366,70 +359,64 @@ def operator_scan(curve_file, theta, q_extra, dilations, grid_half_width,
 @click.option("--points", type=click.IntRange(min=1), default=50)
 @click.option("--n-quad", type=_QUAD_NODES, default=24)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
+@_run
 def operator_extension_endpoint(curve_file, seed, points, n_quad, out):
     """Check |extension(f)(z)| <= weighted L1 mass of f at sampled z."""
-
-    def body():
-        curve = _load_curve(curve_file)
-        rng = np.random.default_rng(seed)
-        rows = []
-        violations = 0
-        for name, f, support in _scan_family():
-            mass = weighted_l1_mass(curve, f, n_quad, support)
-            coords = rng.uniform(-5.0, 5.0, size=(points, 6))
-            zs = coords[:, :3] + 1j * coords[:, 3:]
-            for z, v in zip(zs, _extension_values(curve, f, zs, n_quad, support)):
-                val = abs(complex(v))
-                ok = val <= mass * (1.0 + 1e-12)
-                violations += 0 if ok else 1
-                rows.append({"function": name,
-                             "z": [[c.real, c.imag] for c in z],
-                             "value": val, "mass": mass, "ok": ok})
-        payload = {
-            "schema_version": reports.SCHEMA_VERSION,
-            "kind": "extension_endpoint",
-            "curve": curve.to_json(),
-            "seed": seed,
-            "n_quad": n_quad,
-            "violations": violations,
-            "rows": rows,
-        }
-        reports.write_json(_out_dir(out) / "extension_endpoint.json", payload)
-        click.echo(f"checked={len(rows)} violations={violations}")
-        if violations:
-            sys.exit(EXIT_VERIFICATION)
-
-    _run(body)
+    curve = _load_curve(curve_file)
+    rng = np.random.default_rng(seed)
+    rows = []
+    violations = 0
+    for name, f, support in _scan_family():
+        mass = weighted_l1_mass(curve, f, n_quad, support)
+        coords = rng.uniform(-5.0, 5.0, size=(points, 6))
+        zs = coords[:, :3] + 1j * coords[:, 3:]
+        for z, v in zip(zs, _extension_values(curve, f, zs, n_quad, support)):
+            val = abs(complex(v))
+            ok = val <= mass * (1.0 + 1e-12)
+            violations += 0 if ok else 1
+            rows.append({"function": name,
+                         "z": [[c.real, c.imag] for c in z],
+                         "value": val, "mass": mass, "ok": ok})
+    payload = {
+        "schema_version": reports.SCHEMA_VERSION,
+        "kind": "extension_endpoint",
+        "curve": curve.to_json(),
+        "seed": seed,
+        "n_quad": n_quad,
+        "violations": violations,
+        "rows": rows,
+    }
+    reports.write_json(_out_dir(out) / "extension_endpoint.json", payload)
+    click.echo(f"checked={len(rows)} violations={violations}")
+    if violations:
+        sys.exit(EXIT_VERIFICATION)
 
 
 @main.command("replay")
 @click.argument("verification_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--region-id", type=str, required=True)
+@_run
 def replay(verification_file, region_id):
     """Recompute the stored worst witness of a region report."""
-
-    def body():
-        try:
-            with open(verification_file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            curve = CurveGamma.from_json(data["curve"])
-            entry = next(r for r in data["reports"] if r["region_id"] == region_id)
-        except (OSError, ValueError, KeyError, StopIteration) as exc:
-            _fail(exc, EXIT_INPUT)
-        witness = entry["worst_witness"]
-        t = Triple(*(complex(re, im) for re, im in witness["triple"]))
-        sample = geometric_ratio(curve, t)
-        match = abs(sample.ratio - witness["ratio"]) <= 1e-9 * max(1.0, witness["ratio"])
-        click.echo(reports.canonical_json({
-            "region_id": region_id,
-            "stored_ratio": witness["ratio"],
-            "recomputed_ratio": sample.ratio,
-            "match": match,
-        }), nl=False)
-        if not match:
-            sys.exit(EXIT_VERIFICATION)
-
-    _run(body)
+    try:
+        with open(verification_file, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        curve = CurveGamma.from_json(data["curve"])
+        entry = next(r for r in data["reports"] if r["region_id"] == region_id)
+    except (OSError, ValueError, KeyError, StopIteration) as exc:
+        _fail(exc, EXIT_INPUT)
+    witness = entry["worst_witness"]
+    t = Triple(*(complex(re, im) for re, im in witness["triple"]))
+    sample = geometric_ratio(curve, t)
+    match = abs(sample.ratio - witness["ratio"]) <= 1e-9 * max(1.0, witness["ratio"])
+    click.echo(reports.canonical_json({
+        "region_id": region_id,
+        "stored_ratio": witness["ratio"],
+        "recomputed_ratio": sample.ratio,
+        "match": match,
+    }), nl=False)
+    if not match:
+        sys.exit(EXIT_VERIFICATION)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ _ZERO_DET_REL = 1e-10
 
 _SINGULAR_FLOOR = 1e-12
 
+# Relative size below which trailing coefficients of the torsion triple are
+# dropped before its roots are taken.
+TRIM_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class CurveGamma:
@@ -101,15 +105,19 @@ class TorsionTriple:
         return (self.L1, self.L2, self.L3)
 
     @cached_property
-    def root_sets(self) -> dict:
-        """Roots of each non-constant polynomial of the triple, computed once.
+    def trimmed(self) -> tuple:
+        """(L1, L2, L3) trimmed at TRIM_TOL, built once."""
+        return tuple(poly.trimmed(TRIM_TOL) for poly in self.polys())
 
-        Keyed by the polynomial trimmed at 1e-12, so equal polynomials share
-        one entry.  Raises NonConvergence when a root extraction fails.
+    @cached_property
+    def root_sets(self) -> dict:
+        """Roots of each non-constant polynomial of ``trimmed``, computed once.
+
+        Keyed by the trimmed polynomial, so equal polynomials share one
+        entry.  Raises NonConvergence when a root extraction fails.
         """
         out = {}
-        for poly in self.polys():
-            p = poly.trimmed(1e-12)
+        for p in self.trimmed:
             if p.degree >= 1 and p not in out:
                 out[p] = roots(p)
         return out
@@ -121,8 +129,7 @@ class TorsionTriple:
         Raises SegmentHitsSingularity when L1 or L2 vanishes identically.
         """
         pts = []
-        for poly in (self.L1, self.L2):
-            p = poly.trimmed(1e-12)
+        for p in self.trimmed[:2]:
             if p.degree >= 1:
                 pts.extend(r for r, _ in self.root_sets[p].roots)
             elif p.degree < 0:
@@ -146,7 +153,7 @@ def torsion_triple(curve: CurveGamma) -> TorsionTriple:
     for j in range(3):
         col_max = max(frame[i][j].max_coeff() for i in range(3))
         scale *= max(col_max, 1.0)
-    degenerate = l3.is_zero(rel_tol=_ZERO_DET_REL, scale=scale)
+    degenerate = l3.max_coeff() < _ZERO_DET_REL * scale
     if degenerate:
         l3 = ComplexPolynomial([0.0])
     return TorsionTriple(L1=l1, L2=l2, L3=l3, degenerate=degenerate)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveGamma, AffineMap3, TorsionTriple, affine_apply
+from .curves import TRIM_TOL, CurveGamma, AffineMap3, TorsionTriple, affine_apply
 from .errors import (
     ApertureTooWide,
     CurveTorsionError,
@@ -56,7 +56,8 @@ _REFINE_DEPTH_CAP = 48
 # Boundary points per region for the aperture and comparability measurements.
 _REFINE_SAMPLES = 400
 _COMPARABILITY_SAMPLES = 500
-# Regions at which refinement stops splitting and flags what is left.
+# Region count refinement never splits past: a level whose splits could
+# take the leaves beyond it is flagged instead.
 REGION_BUDGET = 20_000
 # Regions per batched boundary measurement; bounds the stacked grids' memory.
 _CHUNK_REGIONS = 32
@@ -333,8 +334,8 @@ def _build_region(
 class _Context:
     """Settings of one decomposition call and the root sets it cuts by.
 
-    ``root_sets`` maps each non-constant polynomial, trimmed at 1e-12, to
-    its roots; callers look polynomials up trimmed the same way.
+    ``root_sets`` maps each non-constant polynomial, trimmed at TRIM_TOL,
+    to its roots; the decompositions take polynomials already trimmed.
     """
 
     eps: float
@@ -352,13 +353,13 @@ class _Context:
 
     @classmethod
     def of_polynomial(cls, Q: ComplexPolynomial, eps: float, m: int) -> "_Context":
-        """Context of a decomposition by the one non-constant polynomial Q."""
-        Qt = Q.trimmed(1e-12)
+        """Context of a decomposition by the one non-constant, trimmed
+        polynomial Q."""
         try:
-            rs = roots(Qt)
+            rs = roots(Q)
         except NonConvergence as exc:
             raise RootFindingFailed(str(exc)) from exc
-        return cls.create({Qt: rs}, eps, m)
+        return cls.create({Q: rs}, eps, m)
 
     @property
     def half_width(self) -> float:
@@ -438,12 +439,12 @@ def _domain_window(b: complex, domain: Region | None, m: int, eps: float):
 
 
 def _d1_cells(Q, domain, ctx, id_prefix):
-    """Cells of the root-geometry decomposition of Q, clipped to a domain."""
+    """Cells of the root-geometry decomposition of the trimmed Q, clipped
+    to a domain."""
     eps = ctx.eps
-    Qt = Q.trimmed(1e-12)
-    if Qt.degree <= 0:
+    if Q.degree <= 0:
         # A constant only ever cuts the whole plane, into bare sectors.
-        c0 = abs(Qt.coeffs[0])
+        c0 = abs(Q.coeffs[0])
         cells = []
         for n in range(ctx.m_sectors):
             region = _build_region(
@@ -458,14 +459,14 @@ def _d1_cells(Q, domain, ctx, id_prefix):
                 cells.append(D1Cell(region, 0.0, 0, c0))
         return cells
 
-    rs = ctx.root_sets[Qt]
+    rs = ctx.root_sets[Q]
     ctx.root_log[id_prefix] = {
         "residual": rs.residual,
         "roots": [[complex(r).real, complex(r).imag, int(mu)] for r, mu in rs.roots],
     }
     locs = rs.locations()
     mults = list(rs.multiplicities())
-    lead_abs = float(abs(Qt.coeffs[-1]))
+    lead_abs = float(abs(Q.coeffs[-1]))
     m = ctx.m_sectors
     cells = []
     outer = ctx.square if domain is None else domain.clipped
@@ -500,7 +501,8 @@ def _d1_cells(Q, domain, ctx, id_prefix):
 
 def d1_decompose(Q: ComplexPolynomial, domain: Region | None, eps: float) -> list:
     """Public first decomposition: |Q| ~ c * |z - b|**k on each cell."""
-    if Q.trimmed(1e-12).degree <= 0:
+    Q = Q.trimmed(TRIM_TOL)
+    if Q.degree <= 0:
         raise ValueError("Q must be nonconstant")
     ctx = _Context.of_polynomial(Q, eps, _validate_eps(eps))
     return _d1_cells(Q, None if domain is None else ctx.recut(domain), ctx, "d1:")
@@ -511,14 +513,13 @@ def d1_decompose(Q: ComplexPolynomial, domain: Region | None, eps: float) -> lis
 
 
 def _radial_structure(Q, b, ctx):
-    """Gap/dyadic radial intervals of Q around b.
+    """Gap/dyadic radial intervals of the trimmed Q around b.
 
     Returns list of (lo, hi, kind, exponent, constant); a dyadic band's
     constant is its radius.
     """
-    Qt = Q.trimmed(1e-12)
-    rs = ctx.root_sets[Qt]
-    lead_abs = float(abs(Qt.coeffs[-1]))
+    rs = ctx.root_sets[Q]
+    lead_abs = float(abs(Q.coeffs[-1]))
     radii = []
     m0 = 0
     scale0 = max(1.0, max((abs(r - b) for r, _ in rs.roots), default=1.0))
@@ -564,13 +565,13 @@ def _radial_structure(Q, b, ctx):
 
 
 def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
-    Qt = Q.trimmed(1e-12)
-    if Qt.degree <= 0:
-        return [D2Cell(domain, "const", 0, float(abs(Qt.coeffs[0])))]
+    """Radial pieces of a domain by the trimmed Q around b."""
+    if Q.degree <= 0:
+        return [D2Cell(domain, "const", 0, float(abs(Q.coeffs[0])))]
     if abs(complex(b) - domain.center) > 1e-9 * (1.0 + abs(domain.center)):
         raise ValueError("second decomposition center must match the domain center")
     d_lo, d_hi = domain.radial_range
-    structure = _radial_structure(Qt, complex(b), ctx)
+    structure = _radial_structure(Q, complex(b), ctx)
     cells = []
     for idx, (lo, hi, kind, k, c) in enumerate(structure):
         lo2, hi2 = max(lo, d_lo), min(hi, d_hi)
@@ -600,7 +601,8 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
 
 def d2_decompose(Q: ComplexPolynomial, b: complex, domain: Region) -> list:
     """Public second decomposition around center b inside one sector cell."""
-    if Q.trimmed(1e-12).degree <= 0:
+    Q = Q.trimmed(TRIM_TOL)
+    if Q.degree <= 0:
         raise ValueError("Q must be nonconstant")
     ctx = _Context.of_polynomial(Q, MAX_APERTURE, 16)
     return _d2_cells(Q, b, ctx.recut(domain), ctx, "d2:")
@@ -701,25 +703,27 @@ def _minimal_arcs(angles: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
 
 def _measure_apertures(regions, polys: dict, derivs: dict):
     """Argument apertures of each polynomial over each region's boundary,
-    stored in ``region.apertures``.
+    stored in ``region.apertures``; measured _CHUNK_REGIONS at a time.
 
     The argument of a zero-free analytic function on a convex cell takes
     its extremes on the boundary, so a deterministic boundary grid bounds
     every interior sample.  Zeros sit only at cell corners by construction
     and are skipped.
     """
-    grids = _boundary_grids(regions, _REFINE_SAMPLES)
-    for region in regions:
-        region.apertures = {}
-    for name, poly in polys.items():
-        if poly.degree <= 0:
-            apertures = np.zeros(len(regions))
-        else:
-            vals, kept = _values_above_noise(poly, derivs[name], grids)
-            apertures = _minimal_arcs(np.mod(np.angle(vals[kept]), TAU), grids.seg[kept],
-                                      len(regions))
-        for region, aperture in zip(regions, apertures.tolist()):
-            region.apertures[name] = aperture
+    for start in range(0, len(regions), _CHUNK_REGIONS):
+        batch = regions[start:start + _CHUNK_REGIONS]
+        grids = _boundary_grids(batch, _REFINE_SAMPLES)
+        for region in batch:
+            region.apertures = {}
+        for name, poly in polys.items():
+            if poly.degree <= 0:
+                apertures = np.zeros(len(batch))
+            else:
+                vals, kept = _values_above_noise(poly, derivs[name], grids)
+                apertures = _minimal_arcs(np.mod(np.angle(vals[kept]), TAU),
+                                          grids.seg[kept], len(batch))
+            for region, aperture in zip(batch, apertures.tolist()):
+                region.apertures[name] = aperture
 
 
 def _child_thickening(theta_range) -> float:
@@ -774,73 +778,52 @@ def _split_region(region: Region, ctx):
 _REFINE_MARGIN = 0.98
 
 
-def _chunks(regions):
-    """The regions in consecutive batches of _CHUNK_REGIONS."""
-    for start in range(0, len(regions), _CHUNK_REGIONS):
-        yield regions[start:start + _CHUNK_REGIONS]
-
-
 def _refine_regions(regions, polys: dict, derivs: dict, ctx):
     """Bisect regions until every boundary aperture fits its budget.
 
     A small margin below the budget absorbs the discretization gap between
     the boundary grid used here and whatever sampling a later check uses.
-    The tree is measured a level at a time, while its leaves stay within
-    REGION_BUDGET, and then emitted in the order of a last-in first-out
-    queue that applies the depth cap and REGION_BUDGET; children measured
-    past a budget hit are dropped, and regions the levels did not reach
-    are measured as the queue meets them.
+    The refinement tree is built a level at a time: each level is measured
+    in one call, and each region over its budget becomes a (region, kids)
+    node.  Regions at the depth cap or without children are flagged.  When
+    splitting a level's over-budget regions could take the leaves past
+    REGION_BUDGET, those regions are all flagged instead and the tree
+    stops.  The leaves are returned in the order of a last-in first-out
+    walk of the finished tree.
     """
     limits = {
         name: _REFINE_MARGIN * ((max(poly.degree, 0) + 1) * ctx.eps)
         for name, poly in polys.items()
     }
+    nodes = [(region, []) for region in regions]
+    level, leaves = nodes, 0
+    while level:
+        _measure_apertures([region for region, _ in level], polys, derivs)
+        over = [(region, kids) for region, kids in level
+                if any(region.apertures[name] > limit for name, limit in limits.items())]
+        stop = leaves + len(level) + len(over) > REGION_BUDGET
+        for region, kids in over:
+            if not stop and region.depth < _REFINE_DEPTH_CAP:
+                kids.extend((child, []) for child in _split_region(region, ctx))
+            if not kids:
+                region.sector_flag = True
+        leaves += sum(not kids for _, kids in level)
+        level = [kid for _, kids in over for kid in kids]
 
-    def over(region):
-        return any(region.apertures[name] > limit for name, limit in limits.items())
-
-    # Keyed by id(); ``measured`` holds every region measured ahead, so
-    # those ids stay unique while the queue runs.
-    measured, children = {}, {}
-    level, leaves = list(regions), 0
-    while level and leaves + len(level) <= REGION_BUDGET:
-        for chunk in _chunks(level):
-            _measure_apertures(chunk, polys, derivs)
-        measured.update((id(r), r) for r in level)
-        parents = [r for r in level if over(r) and r.depth < _REFINE_DEPTH_CAP]
-        leaves += len(level) - len(parents)
-        level = []
-        for region in parents:
-            children[id(region)] = _split_region(region, ctx)
-            level.extend(children[id(region)])
-
-    out = []
-    queue = list(regions)
-    while queue:
-        region = queue.pop()
-        if id(region) not in measured:
-            _measure_apertures([region], polys, derivs)
-        if not over(region):
+    out, stack = [], nodes
+    while stack:
+        region, kids = stack.pop()
+        if kids:
+            stack.extend(kids)
+        else:
             out.append(region)
-            continue
-        if region.depth >= _REFINE_DEPTH_CAP or len(out) + len(queue) >= REGION_BUDGET:
-            region.sector_flag = True
-            out.append(region)
-            continue
-        kids = children.get(id(region))
-        if kids is None:
-            kids = _split_region(region, ctx)
-        if not kids:
-            region.sector_flag = True
-            out.append(region)
-            continue
-        queue.extend(kids)
     return out
 
 
 def _measure_comparability(regions, polys: dict, derivs: dict):
     """Extremes of |L| / (c |z - b|**k) over each region's boundary,
-    stored in ``region.comparability_stats``.
+    stored in ``region.comparability_stats``; measured _CHUNK_REGIONS at a
+    time.
 
     The log of the ratio is harmonic on the cell (roots and centers sit at
     corners at worst), so boundary extremes bound every interior sample;
@@ -848,40 +831,42 @@ def _measure_comparability(regions, polys: dict, derivs: dict):
     A zero constant, a zero polynomial or no usable point gives
     ``{"zero": True}``.
     """
-    grids = _boundary_grids(regions, _COMPARABILITY_SAMPLES)
-    extremes = {}
-    for name, poly in polys.items():
-        comps = [r.comparability[name] for r in regions]
-        center = np.array([comp.center for comp in comps], dtype=np.complex128)[grids.seg]
-        k = np.array([comp.k for comp in comps])[grids.seg]
-        c = np.array([comp.c for comp in comps], dtype=np.float64)[grids.seg]
-        vals, kept = _values_above_noise(poly, derivs[name], grids)
-        dist = np.abs(grids.pts - center)
-        # Grouped by k, every power takes numpy's scalar-exponent path.
-        power = np.empty_like(dist)
-        for kk in {comp.k for comp in comps}:
-            sel = k == kk
-            power[sel] = dist[sel] ** kk
-        denom = c * power
-        good = (denom > 0) & (dist > 4.0 * grids.pos_err) & kept
-        ratio = np.full(dist.shape, np.nan)
-        np.divide(np.abs(vals), denom, out=ratio, where=good)
-        valid = np.isfinite(ratio) & (ratio > 0)
-        extremes[name] = list(zip(
-            np.logical_or.reduceat(valid, grids.starts).tolist(),
-            np.minimum.reduceat(np.where(valid, ratio, np.inf), grids.starts).tolist(),
-            np.maximum.reduceat(np.where(valid, ratio, -np.inf), grids.starts).tolist(),
-        ))
-    for i, region in enumerate(regions):
-        stats = {}
-        for name in region.comparability:
-            found, lo, hi = extremes[name][i]
-            stats[name] = {
-                "min_ratio": lo,
-                "max_ratio": hi,
-                "ratio_bound": 1.25 * max(hi, 1.0 / lo),
-            } if found else {"zero": True}
-        region.comparability_stats = stats
+    for start in range(0, len(regions), _CHUNK_REGIONS):
+        batch = regions[start:start + _CHUNK_REGIONS]
+        grids = _boundary_grids(batch, _COMPARABILITY_SAMPLES)
+        extremes = {}
+        for name, poly in polys.items():
+            comps = [r.comparability[name] for r in batch]
+            center = np.array([comp.center for comp in comps], dtype=np.complex128)[grids.seg]
+            k = np.array([comp.k for comp in comps])[grids.seg]
+            c = np.array([comp.c for comp in comps], dtype=np.float64)[grids.seg]
+            vals, kept = _values_above_noise(poly, derivs[name], grids)
+            dist = np.abs(grids.pts - center)
+            # Grouped by k, every power takes numpy's scalar-exponent path.
+            power = np.empty_like(dist)
+            for kk in {comp.k for comp in comps}:
+                sel = k == kk
+                power[sel] = dist[sel] ** kk
+            denom = c * power
+            good = (denom > 0) & (dist > 4.0 * grids.pos_err) & kept
+            ratio = np.full(dist.shape, np.nan)
+            np.divide(np.abs(vals), denom, out=ratio, where=good)
+            valid = np.isfinite(ratio) & (ratio > 0)
+            extremes[name] = list(zip(
+                np.logical_or.reduceat(valid, grids.starts).tolist(),
+                np.minimum.reduceat(np.where(valid, ratio, np.inf), grids.starts).tolist(),
+                np.maximum.reduceat(np.where(valid, ratio, -np.inf), grids.starts).tolist(),
+            ))
+        for i, region in enumerate(batch):
+            stats = {}
+            for name in region.comparability:
+                found, lo, hi = extremes[name][i]
+                stats[name] = {
+                    "min_ratio": lo,
+                    "max_ratio": hi,
+                    "ratio_bound": 1.25 * max(hi, 1.0 / lo),
+                } if found else {"zero": True}
+            region.comparability_stats = stats
 
 
 def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
@@ -908,7 +893,7 @@ def _walk(tt: TorsionTriple, eps: float | None):
     """
     if tt.degenerate:
         raise DegenerateTorsion("torsion vanishes identically")
-    polys = {name: p.trimmed(1e-12) for name, p in zip(("L1", "L2", "L3"), tt.polys())}
+    polys = dict(zip(("L1", "L2", "L3"), tt.trimmed))
     d = max(max(p.degree, 0) for p in polys.values())
     if eps is None:
         m = 28 * (d + 1)
@@ -951,8 +936,7 @@ def _finish(regions, ctx: _Context, polys: dict, seed: int) -> DecompositionRepo
     """Refine and measure the walk's regions, and report them."""
     derivs = {name: poly.derivative() for name, poly in polys.items()}
     regions = _refine_regions(regions, polys, derivs, ctx)
-    for chunk in _chunks(regions):
-        _measure_comparability(chunk, polys, derivs)
+    _measure_comparability(regions, polys, derivs)
     return DecompositionReport(
         regions=regions,
         epsilon_used=ctx.eps,
@@ -975,10 +959,12 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
        exponent 0.  T01 regions record ``sigma.k_sub = 0`` (their table row
        has no L1 exponent); their L1 comparability keeps the measured
        exponent.
-    2. Refine: regions are bisected until the sampled argument aperture of
-       each L_i fits the budget (deg L_i + 1) * eps; regions that cannot be
-       refined within the depth cap or REGION_BUDGET are flagged.  Children
-       keep their parent's sigma, so the walk already decides admissibility.
+    2. Refine: regions are bisected, a tree level at a time, until the
+       sampled argument aperture of each L_i fits the budget
+       (deg L_i + 1) * eps; regions at the depth cap are flagged, and so is
+       every over-budget region of a level whose splits could take the
+       report past REGION_BUDGET regions.  Children keep their parent's
+       sigma, so the walk already decides admissibility.
     3. Measure: the comparability ratio extremes of every refined region.
 
     ``eps`` None picks 2*pi / (28 * (d + 1)) for the largest degree d.
@@ -997,7 +983,8 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
     """Perturb the curve until every region classifies admissibly.
 
     Candidate maps are I + delta * E_ij over the standard matrix units in
-    row-major order for each delta in _RETRY_DELTAS, applied in a fixed
+    row-major order for each delta in _RETRY_DELTAS (determinant 1 or
+    1 + delta, so none is singular), applied in a fixed
     order so retried reports are reproducible.  Each candidate is walked
     at ``eps`` (None picks it from the degrees, as in ``classify_regions``)
     and judged on its walk regions, which already carry every sigma; so
@@ -1022,26 +1009,20 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
                 mat = np.eye(3, dtype=np.complex128)
                 mat[i, j] += delta
                 amap = AffineMap3.create(mat)
-                if abs(amap.determinant) < 1e-12:
-                    log.append({"delta": delta, "unit": [i, j], "outcome": "singular"})
-                    continue
+                candidate = {"delta": delta, "unit": [i, j]}
                 curve2 = affine_apply(curve, amap)
                 tt2 = curve2.torsion
                 if tt2.degenerate:
-                    log.append({"delta": delta, "unit": [i, j], "outcome": "degenerate"})
+                    log.append({**candidate, "outcome": "degenerate"})
                     continue
                 try:
                     regions, ctx, polys = _walk(tt2, eps)
                 except CurveTorsionError as exc:
-                    log.append({
-                        "delta": delta, "unit": [i, j],
-                        "outcome": f"failed:{type(exc).__name__}",
-                    })
+                    log.append({**candidate, "outcome": f"failed:{type(exc).__name__}"})
                     continue
                 bad = sum(not _retry_ok(r.sigma) for r in regions)
                 log.append({
-                    "delta": delta,
-                    "unit": [i, j],
+                    **candidate,
                     "outcome": "accepted" if not bad else "inadmissible",
                     "inadmissible_count": bad,
                 })

@@ -92,23 +92,6 @@ class ComplexPolynomial:
                 b[j] = b[j] + h * b[j + 1]
         return ComplexPolynomial(b)
 
-    def is_zero(self, rel_tol: float = 0.0, scale: float | None = None) -> bool:
-        """True when every coefficient is below ``rel_tol * scale``.
-
-        With the default ``rel_tol = 0`` this tests for the exact zero
-        polynomial.  ``scale`` defaults to the polynomial's own largest
-        coefficient modulus, in which case a nonzero polynomial is never
-        declared zero; callers pass the scale of the inputs that produced
-        this polynomial to detect cancellation-level residue.
-        """
-        m = self.max_coeff()
-        if m == 0.0:
-            return True
-        if rel_tol <= 0.0:
-            return False
-        s = m if scale is None else float(scale)
-        return m < rel_tol * s
-
     def max_coeff(self) -> float:
         return float(np.max(np.abs(self._coeffs)))
 

@@ -322,6 +322,22 @@ class TestClassifyWalk:
         assert set(calls) == nonconstant
         assert rep.root_info
 
+    def test_walk_reads_the_trimmed_triple(self, monkeypatch, curve_mixed):
+        # The triple trims its polynomials once; the walk trims nothing.
+        tt = torsion_triple(curve_mixed)
+        assert set(tt.root_sets) == {p for p in tt.trimmed if p.degree >= 1}
+        calls = []
+        real_trimmed = ComplexPolynomial.trimmed
+
+        def counting_trimmed(p, *args):
+            calls.append(p)
+            return real_trimmed(p, *args)
+
+        monkeypatch.setattr(ComplexPolynomial, "trimmed", counting_trimmed)
+        _, _, polys = decomposition._walk(tt, None)
+        assert calls == []
+        assert tuple(polys.values()) == tt.trimmed
+
     def test_no_dynamic_region_attributes(self, suite_reports):
         names = {f.name for f in dataclasses.fields(Region)}
         for curve, _, rep in suite_reports.values():
@@ -547,6 +563,15 @@ def _refined(regions):
     return [(r.region_id, r.depth, r.sector_flag, r.apertures) for r in regions]
 
 
+def _refine_mixed(curve):
+    """The mixed curve's walk regions refined, and fresh walk regions with
+    the context and polynomials for a reference run."""
+    walked, ctx, polys = decomposition._walk(curve.torsion, None)
+    derivs = {name: p.derivative() for name, p in polys.items()}
+    got = decomposition._refine_regions(walked, polys, derivs, ctx)
+    return got, decomposition._walk(curve.torsion, None)[0], ctx, polys
+
+
 class TestBatchedMeasurement:
     @pytest.fixture(scope="class")
     def measured_sets(self, suite_reports, retry_run):
@@ -578,22 +603,34 @@ class TestBatchedMeasurement:
             monkeypatch.setattr(decomposition, "_CHUNK_REGIONS", chunk)
         for polys, regions, apertures, stats in measured_sets:
             derivs = {name: p.derivative() for name, p in polys.items()}
-            for batch in decomposition._chunks(regions):
-                decomposition._measure_apertures(batch, polys, derivs)
-                decomposition._measure_comparability(batch, polys, derivs)
+            decomposition._measure_apertures(regions, polys, derivs)
+            decomposition._measure_comparability(regions, polys, derivs)
             assert [r.apertures for r in regions] == apertures
             assert [r.comparability_stats for r in regions] == stats
 
-    @pytest.mark.parametrize("budget", [300, 3000])
+    # The mixed curve walks to 2,792 regions, 240 of them over their
+    # aperture budget, and refines to 3,872.
+
+    @pytest.mark.parametrize("budget", [300])
     def test_budget_hit_keeps_lifo_order(self, monkeypatch, curve_mixed, budget):
-        # 300 is below the 2,792 walk regions, so no level is measured
-        # ahead; 3000 measures the first level ahead and drops children
-        # built past the hit.  No benchmark workload reaches this path.
+        # Below the walk's own region count nothing is split, and the
+        # flagged walk regions come out in the reference's order.
         monkeypatch.setattr(decomposition, "REGION_BUDGET", budget)
-        tt = curve_mixed.torsion
-        walked, ctx, polys = decomposition._walk(tt, None)
-        derivs = {name: p.derivative() for name, p in polys.items()}
-        got = decomposition._refine_regions(walked, polys, derivs, ctx)
-        expected = reference_refine(decomposition._walk(tt, None)[0], polys, ctx)
-        assert _refined(got) == _refined(expected)
+        got, walked, ctx, polys = _refine_mixed(curve_mixed)
+        assert _refined(got) == _refined(reference_refine(walked, polys, ctx))
         assert any(r.sector_flag for r in got)
+
+    def test_budget_hit_flags_whole_level(self, monkeypatch, curve_mixed):
+        # Splitting the 240 over-budget walk regions could pass 3,000
+        # regions, so all of them are flagged and none is split.
+        monkeypatch.setattr(decomposition, "REGION_BUDGET", 3000)
+        got, *_ = _refine_mixed(curve_mixed)
+        assert len(got) == 2792
+        assert sum(r.sector_flag for r in got) == 240
+        assert all(r.depth == 0 for r in got)
+
+    def test_default_budget_keeps_lifo_order(self, curve_mixed):
+        got, walked, ctx, polys = _refine_mixed(curve_mixed)
+        assert _refined(got) == _refined(reference_refine(walked, polys, ctx))
+        assert len(got) == 3872
+        assert not any(r.sector_flag for r in got)
