@@ -15,16 +15,29 @@ def halfplane_value(z, anchor: complex, normal: complex):
 
 
 def clip_halfplane(poly, anchor: complex, normal: complex):
-    """Sutherland-Hodgman clip of a convex polygon against one half plane."""
+    """Sutherland-Hodgman clip of a convex polygon against one half plane.
+
+    Works in Python ``complex``, with each vertex's half-plane value
+    computed once.  This changes no bit against numpy scalars: Python's
+    complex product and numpy's scalar one both evaluate (ac - bd, ad + bc)
+    rounding every product and sum on its own, with no fused multiply-add
+    (numpy's SIMD array loops can round differently), so each value and
+    each intersection point equals what ``halfplane_value`` and the same
+    lerp give on numpy scalar vertices.  Returns Python ``complex``
+    vertices.
+    """
     if not poly:
         return ()
+    pts = [complex(v) for v in poly]
+    anchor = complex(anchor)
+    w = complex(normal).conjugate()
+    vals = [((v - anchor) * w).real for v in pts]
     out = []
-    n = len(poly)
+    n = len(pts)
     for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
-        fa = halfplane_value(a, anchor, normal)
-        fb = halfplane_value(b, anchor, normal)
+        j = (i + 1) % n
+        a, b = pts[i], pts[j]
+        fa, fb = vals[i], vals[j]
         if fa >= 0.0:
             out.append(a)
             if fb < 0.0:
@@ -39,9 +52,10 @@ def clip_halfplane(poly, anchor: complex, normal: complex):
 def polygon_area(poly) -> float:
     if len(poly) < 3:
         return 0.0
-    v = np.asarray(poly, dtype=np.complex128)
-    w = np.roll(v, -1)
-    return float(0.5 * np.sum((np.conj(v) * w).imag))
+    v = np.array([*poly, poly[0]], dtype=np.complex128)
+    p = np.conj(v[:-1])
+    p *= v[1:]
+    return float(0.5 * np.sum(p.imag))
 
 
 def ensure_ccw(poly):
@@ -180,7 +194,8 @@ def sample_polygon(poly, n: int, rng):
             continue
         misses = 0
         hits = hits[: n - got]
-        out[got : got + hits.size] = re[hits] + 1j * im[hits]
+        np.take(re, hits, out=out.real[got : got + hits.size])
+        np.take(im, hits, out=out.imag[got : got + hits.size])
         got += hits.size
     return out
 

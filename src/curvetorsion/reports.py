@@ -2,15 +2,19 @@
 
 All writers are deterministic: keys are sorted, floats use repr, nothing
 embeds timestamps or environment data, so identical inputs produce
-byte-identical files.
+byte-identical files.  Canonical JSON is the text the standard library's
+``json`` module writes with ``sort_keys=True, indent=2, allow_nan=False``,
+plus a final newline, byte for byte; it is streamed to the file a few
+thousand pieces at a time instead of being built whole first.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+import os
+from json.encoder import encode_basestring_ascii as _quote
 
 from .decomposition import DYADIC_FACTOR, REGION_BUDGET, THICKENING, DecompositionReport, Region
 from .polynomials import CLUSTER_TOL
@@ -28,8 +32,109 @@ _TYPE_COLORS = {
 }
 
 
+# Pieces of text the JSON encoder holds before it hands them to ``write``.
+_PIECES_PER_WRITE = 4096
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _LITERALS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_canonical(obj, write) -> None:
+    """Write the canonical JSON text of ``obj`` through ``write``.
+
+    Exact types are dispatched first; subclasses (``numpy.float64`` is a
+    ``float``) fall back to ``isinstance`` in the order ``json`` tests them.
+    NaN and infinities raise ``ValueError``, any other type ``TypeError``.
+    """
+    pieces = []
+    put = pieces.append
+
+    def flush():
+        write("".join(pieces))
+        pieces.clear()
+
+    def value(o, depth):
+        t = type(o)
+        if t is str:
+            put(_quote(o))
+        elif t is float:
+            put(_float_text(o))
+        elif t is int:
+            put(int.__repr__(o))
+        elif o is None or o is True or o is False:
+            put(_LITERALS[o])
+        elif t is dict:
+            mapping(o, depth)
+        elif t is list or t is tuple:
+            sequence(o, depth)
+        elif isinstance(o, str):
+            put(_quote(o))
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, float):
+            put(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            sequence(o, depth)
+        elif isinstance(o, dict):
+            mapping(o, depth)
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    def sequence(o, depth):
+        if not o:
+            put("[]")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep, comma = "[" + inner, "," + inner
+        for item in o:
+            put(sep)
+            sep = comma
+            value(item, depth + 1)
+            if len(pieces) >= _PIECES_PER_WRITE:
+                flush()
+        put(inner[:-2] + "]")
+
+    def mapping(o, depth):
+        if not o:
+            put("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep, comma = "{" + inner, "," + inner
+        for key, item in sorted(o.items()):
+            put(sep)
+            sep = comma
+            put(_quote(_key_text(key)))
+            put(": ")
+            value(item, depth + 1)
+            if len(pieces) >= _PIECES_PER_WRITE:
+                flush()
+        put(inner[:-2] + "}")
+
+    value(obj, 0)
+    put("\n")
+    flush()
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    buf = io.StringIO()
+    _write_canonical(obj, buf.write)
+    return buf.getvalue()
 
 
 def json_sanitize(obj):
@@ -44,8 +149,15 @@ def json_sanitize(obj):
 
 
 def write_json(path, obj):
+    """Stream ``canonical_json(obj)`` to ``path``; a failed write removes
+    the partial file and re-raises."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
+        try:
+            _write_canonical(obj, fh.write)
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def complex_pair(z) -> list:

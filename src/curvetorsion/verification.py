@@ -22,9 +22,9 @@ from .errors import DegenerateTriple, EmptyRegion
 from .jacobian import (
     QuadratureSpec,
     Triple,
+    _det3_entries,
     check_triple_clear,
     jacobian_direct,
-    jacobian_direct_batch,
     modulus_inside_integral,
 )
 
@@ -59,10 +59,30 @@ class VerificationReport:
         return {**vars(self), "worst_witness": self.worst_witness.to_json()}
 
 
-def _bound_values(tt: TorsionTriple, z1, z2, z3):
-    l3 = np.abs(np.asarray(tt.L3(z1)) * np.asarray(tt.L3(z2)) * np.asarray(tt.L3(z3)))
+def _bound_from(l3_1, l3_2, l3_3, z1, z2, z3):
+    """The lower-bound product from L3 at the three points."""
+    l3 = np.abs(np.asarray(l3_1) * np.asarray(l3_2) * np.asarray(l3_3))
     dist = np.abs(z2 - z1) * np.abs(z3 - z1) * np.abs(z3 - z2)
     return l3 ** (1.0 / 3.0) * dist
+
+
+def _bound_values(tt: TorsionTriple, z1, z2, z3):
+    return _bound_from(tt.L3(z1), tt.L3(z2), tt.L3(z3), z1, z2, z3)
+
+
+def _interleaved_values(curve: CurveGamma, tt: TorsionTriple, pts: np.ndarray):
+    """(bound, Jacobian) of the triples (pts[0::3], pts[1::3], pts[2::3]).
+
+    L3 and each derivative are evaluated once on the whole array and then
+    sliced; the values are bitwise those of ``_bound_values`` and
+    ``jacobian_direct_batch`` on the three strided slices.
+    """
+    l3 = tt.L3(pts)
+    derivs = [d(pts) for d in curve.derivatives]
+    zs = [pts[k::3] for k in range(3)]
+    bound = _bound_from(*(l3[k::3] for k in range(3)), *zs)
+    jac = _det3_entries(*([d[k::3] for d in derivs] for k in range(3)))
+    return bound, jac
 
 
 def geometric_ratio(curve: CurveGamma, t: Triple) -> RatioSample:
@@ -101,8 +121,8 @@ def verify_region(curve: CurveGamma, region: Region, sig: SigmaExponents,
     pts = region.sample(3 * n, rng)
     z1, z2, z3 = pts[0::3], pts[1::3], pts[2::3]
 
-    bound = _bound_values(tt, z1, z2, z3)
-    jac = np.abs(jacobian_direct_batch(curve, z1, z2, z3))
+    bound, jac = _interleaved_values(curve, tt, pts)
+    jac = np.abs(jac)
     good = (bound > 0.0) & (z1 != z2) & (z2 != z3) & (z1 != z3) & np.isfinite(jac)
     excluded = int(n - int(np.count_nonzero(good)))
     if not np.any(good):
