@@ -249,3 +249,45 @@ def dist_point_triangle(p: complex, a: complex, b: complex, c: complex) -> float
         dist_point_segment(p, b, c),
         dist_point_segment(p, c, a),
     )
+
+
+def _dist_points_segments(p, a, b):
+    """``dist_point_segment`` vectorized over broadcast arrays."""
+    ab = b - a
+    denom = ab.real * ab.real + ab.imag * ab.imag
+    pa = p - a
+    dot = pa.real * ab.real + pa.imag * ab.imag
+    t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom != 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.abs(pa - t * ab)
+
+
+# Relative slack by which a vector distance must clear the margin.
+_SCREEN_RTOL = 1e-9
+
+
+def _hulls_within(p, a, b, c, margin: float) -> np.ndarray:
+    """Which triangle hulls (a[k], b[k], c[k]) come clearly within
+    ``margin`` of one of the points ``p``, in one vectorized pass.
+
+    A conservative screen ahead of ``dist_point_triangle``.  A point
+    strictly inside every edge counts as distance 0, any other point as its
+    distance to the nearest edge.  Where the scalar test rounds differently
+    or calls the triangle degenerate, its distance exceeds this one by at
+    most about 1e-13 times the coordinates' size.  A hull is flagged only
+    when a distance is below ``margin`` by _SCREEN_RTOL times the margin
+    plus the coordinates' size, which covers that: rounding can only leave
+    a hull unflagged, never flag one that the scalar test keeps clear.
+    """
+    p = np.asarray(p, dtype=np.complex128)[None, :]
+    a, b, c = (np.asarray(v, dtype=np.complex128)[:, None] for v in (a, b, c))
+    dist = np.minimum(_dist_points_segments(p, a, b), _dist_points_segments(p, b, c))
+    np.minimum(dist, _dist_points_segments(p, c, a), out=dist)
+    pos = neg = True
+    for u, v in ((b - a, p - a), (c - b, p - b), (a - c, p - c)):
+        cross = u.real * v.imag - u.imag * v.real
+        pos = pos & (cross > 0.0)
+        neg = neg & (cross < 0.0)
+    dist[pos | neg] = 0.0
+    reach = np.abs(p) + np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    return np.any(dist < margin - _SCREEN_RTOL * (margin + reach), axis=1)

@@ -15,17 +15,19 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .curves import CurveGamma, TorsionTriple
 from .decomposition import Region
 from .errors import AllSamplesZero, NonConvergence, SegmentHitsSingularity
-from .geometry import dist_point_triangle, minimal_arc
+from .geometry import _hulls_within, dist_point_triangle, minimal_arc
+from .polynomials import gauss_legendre
 
 _REL_TOL = 1e-6
 _IDENTITY_TOL = 1e-6
 # Identity trials give up after this many draws per requested trial.
 _MAX_ATTEMPTS_FACTOR = 300
+# Identity-trial attempts drawn and screened together.
+_TRIAL_BLOCK = 256
 
 class Triple(NamedTuple):
     """Three sample points in the plane."""
@@ -116,7 +118,7 @@ def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int, modulus: bool = Fal
     is a float; otherwise it is the complex integral.
     """
     f = abs if modulus else (lambda v: v)
-    x, w = leggauss(n)
+    x, w = gauss_legendre(n)
     tau = 0.5 * (x + 1.0)
     wt = 0.5 * w
 
@@ -185,29 +187,44 @@ def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
     tt = curve.torsion
     rng = np.random.default_rng(seed)
     q = q or QuadratureSpec(nodes_per_segment=12)
+    try:
+        poles = tt.singular_points
+    except (SegmentHitsSingularity, NonConvergence):
+        poles = ()  # screen nothing: check_triple_clear raises for every draw
     passes = failures = excluded = 0
     worst = 0.0
     attempts = 0
-    while passes + failures < n_trials and attempts < _MAX_ATTEMPTS_FACTOR * n_trials:
-        attempts += 1
-        pts = rng.uniform(-box_radius, box_radius, 6)
-        t = Triple(complex(pts[0], pts[1]), complex(pts[2], pts[3]),
-                   complex(pts[4], pts[5]))
-        try:
-            integral = jacobian_integral(
-                curve, t, q, singularity_margin=margin,
-                abs_tol=0.1 * _IDENTITY_TOL, max_doublings=5, tt=tt,
-            )
-        except (SegmentHitsSingularity, NonConvergence):
-            excluded += 1
-            continue
-        direct = jacobian_direct(curve, t)
-        dev = abs(integral - direct) / max(1.0, abs(direct))
-        worst = max(worst, dev)
-        if dev <= _IDENTITY_TOL:
-            passes += 1
-        else:
-            failures += 1
+    cap = _MAX_ATTEMPTS_FACTOR * n_trials
+    while passes + failures < n_trials and attempts < cap:
+        # One draw of 6k values is k draws of 6, so the triples are the
+        # per-attempt ones; the screen only skips draws check_triple_clear
+        # would reject, and every other draw is decided by it.
+        k = min(_TRIAL_BLOCK, cap - attempts)
+        block = rng.uniform(-box_radius, box_radius, 6 * k).view(np.complex128).reshape(k, 3)
+        hit = _hulls_within(poles, block[:, 0], block[:, 1], block[:, 2], margin)
+        for row, screened in zip(block.tolist(), hit.tolist()):
+            if passes + failures >= n_trials:
+                break
+            attempts += 1
+            if screened:
+                excluded += 1
+                continue
+            t = Triple(*row)
+            try:
+                integral = jacobian_integral(
+                    curve, t, q, singularity_margin=margin,
+                    abs_tol=0.1 * _IDENTITY_TOL, max_doublings=5, tt=tt,
+                )
+            except (SegmentHitsSingularity, NonConvergence):
+                excluded += 1
+                continue
+            direct = jacobian_direct(curve, t)
+            dev = abs(integral - direct) / max(1.0, abs(direct))
+            worst = max(worst, dev)
+            if dev <= _IDENTITY_TOL:
+                passes += 1
+            else:
+                failures += 1
     return {
         "trials": passes + failures,
         "passes": passes,

@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .curves import CurveGamma, lambda_weight
 from .errors import NonConvergence, ZeroVolume
+from .polynomials import gauss_legendre
 
 _BALL6_UNIT_VOLUME = math.pi**3 / 6.0
 
@@ -256,7 +256,7 @@ def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
 
 
 def _polar_grid(support_radius: float, n_quad: int):
-    x, w = leggauss(n_quad)
+    x, w = gauss_legendre(n_quad)
     r = 0.5 * support_radius * (x + 1.0)
     wr = 0.5 * support_radius * w
     m_t = max(8, 2 * n_quad)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .curves import CurveGamma, TorsionTriple
 from .decomposition import Region, SigmaExponents, admissible
@@ -27,6 +26,7 @@ from .jacobian import (
     jacobian_direct,
     modulus_inside_integral,
 )
+from .polynomials import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def triple_integral_bound_check(t: Triple, q: QuadratureSpec):
     does not, 0 when both vanish).
     """
     n = q.nodes_per_segment
-    x, w = leggauss(n)
+    x, w = gauss_legendre(n)
     tau = 0.5 * (x + 1.0)
     wt = 0.5 * w
     z1, z2, z3 = complex(t.z1), complex(t.z2), complex(t.z3)

@@ -143,6 +143,17 @@ class TestJacobianCheck:
         assert payload["worst_relative_deviation"] < 1e-10
         validate(payload, "jacobian_check.schema.json")
 
+    def test_regression_pin(self, tmp_path, curve_mixed):
+        curve_file = write_curve(tmp_path, curve_mixed)
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["jacobian-check", str(curve_file), "--trials", "100",
+                                   "--seed", "7", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((out / "jacobian_check.json").read_text())
+        assert payload["passes"] == 100
+        assert payload["excluded_count"] == 219
+        assert payload["worst_relative_deviation"] == float.fromhex("0x1.70e53eeed9b82p-44")
+
     def test_singular_segments_logged(self, tmp_path, curve_z3z5):
         # L2 = 6z vanishes at the origin inside the sampling box, so some
         # triples are excluded and logged while the rest still pass

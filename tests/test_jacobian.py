@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from curvetorsion import (
     AllSamplesZero,
@@ -16,6 +19,7 @@ from curvetorsion import (
     torsion_triple,
 )
 
+from curvetorsion import jacobian, polynomials
 from curvetorsion.curves import CurveGamma
 
 from conftest import poly, random_curve
@@ -167,6 +171,96 @@ class TestJacobianIntegral:
         res = jacobian_identity_trials(moment_curve, 50, seed=3)
         assert res["passes"] == 50 and res["failures"] == 0
         assert res["worst_relative_deviation"] < 1e-10
+
+
+def reference_identity_trials(curve, n_trials, seed, *, margin=0.3):
+    """``jacobian_identity_trials`` one attempt at a time: a draw of 6
+    values and the scalar exclusion test inside ``jacobian_integral``."""
+    tt = curve.torsion
+    rng = np.random.default_rng(seed)
+    q = QuadratureSpec(nodes_per_segment=12)
+    passes = failures = excluded = attempts = 0
+    worst = 0.0
+    while passes + failures < n_trials and attempts < 300 * n_trials:
+        attempts += 1
+        pts = rng.uniform(-1.0, 1.0, 6)
+        t = Triple(complex(pts[0], pts[1]), complex(pts[2], pts[3]),
+                   complex(pts[4], pts[5]))
+        try:
+            integral = jacobian_integral(curve, t, q, singularity_margin=margin,
+                                         abs_tol=0.1 * jacobian._IDENTITY_TOL,
+                                         max_doublings=5, tt=tt)
+        except (SegmentHitsSingularity, NonConvergence):
+            excluded += 1
+            continue
+        direct = jacobian_direct(curve, t)
+        dev = abs(integral - direct) / max(1.0, abs(direct))
+        worst = max(worst, dev)
+        if dev <= jacobian._IDENTITY_TOL:
+            passes += 1
+        else:
+            failures += 1
+    return {"trials": passes + failures, "passes": passes, "failures": failures,
+            "excluded_count": excluded, "worst_relative_deviation": worst}
+
+
+def _cubic(seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        curve = random_curve(rng, 3)
+        if not torsion_triple(curve).degenerate:
+            return curve
+
+
+class TestScreenedIdentityTrials:
+    """Drawing attempts in blocks and screening them in one vector pass
+    gives exactly the per-attempt loop's result."""
+
+    @pytest.mark.parametrize("name", ["mixed", "z3z5", "cubic0", "cubic1", "cubic2"])
+    def test_equals_per_attempt_loop(self, name, monkeypatch, curve_mixed, curve_z3z5):
+        curve = {"mixed": curve_mixed, "z3z5": curve_z3z5}.get(name) or _cubic(int(name[-1]))
+        expected = reference_identity_trials(curve, 12, seed=5)
+        assert expected["excluded_count"] > 0
+        for block in (1, 7, jacobian._TRIAL_BLOCK):
+            monkeypatch.setattr(jacobian, "_TRIAL_BLOCK", block)
+            got = jacobian_identity_trials(curve, 12, seed=5)
+            assert got == expected
+            assert (got["worst_relative_deviation"].hex()
+                    == expected["worst_relative_deviation"].hex())
+
+    @pytest.mark.parametrize("block", [1, 7, jacobian._TRIAL_BLOCK])
+    @pytest.mark.parametrize("case", ["margin 10", "L1 vanishes"])
+    def test_all_excluded_stops_at_attempt_cap(self, case, block, monkeypatch, curve_mixed):
+        # with L1 identically zero there are no poles to screen with, and
+        # check_triple_clear raises on every draw
+        curve, margin = {
+            "margin 10": (curve_mixed, 10.0),
+            "L1 vanishes": (CurveGamma.from_components(poly(1), poly(0, 0, 1),
+                                                       poly(0, 0, 0, 1)), 0.3),
+        }[case]
+        monkeypatch.setattr(jacobian, "_TRIAL_BLOCK", block)
+        n = 3
+        got = jacobian_identity_trials(curve, n, seed=1, margin=margin)
+        assert got == reference_identity_trials(curve, n, seed=1, margin=margin)
+        assert got["excluded_count"] == 300 * n and got["trials"] == 0
+
+    def test_each_rule_built_once(self, monkeypatch, curve_mixed):
+        built = Counter()
+        real = legendre.leggauss
+
+        def counting(n):
+            built[n] += 1
+            return real(n)
+
+        monkeypatch.setattr(legendre, "leggauss", counting)
+        polynomials.gauss_legendre.cache_clear()
+        try:
+            for seed in (7, 8):
+                jacobian_identity_trials(curve_mixed, 10, seed)
+        finally:
+            polynomials.gauss_legendre.cache_clear()
+        assert {12, 24} <= set(built)
+        assert set(built.values()) == {1}
 
 
 class TestSectorContained:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from curvetorsion import DegreeZero, det2, det3, roots
-from curvetorsion.polynomials import ComplexPolynomial
+from curvetorsion.polynomials import ComplexPolynomial, gauss_legendre
 
 from conftest import poly
 
@@ -168,3 +169,19 @@ class TestProperties:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [4, 12, 16, 24, 32, 48, 64, 96])
+    def test_bitwise_leggauss(self, n):
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = leggauss(n)
+        assert x.tobytes() == ref_x.tobytes()
+        assert w.tobytes() == ref_w.tobytes()
+
+    def test_shared_and_read_only(self):
+        x, w = gauss_legendre(8)
+        assert gauss_legendre(8)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
