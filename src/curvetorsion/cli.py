@@ -22,14 +22,7 @@ import numpy as np
 from . import reports
 from .curves import CurveGamma
 from .decomposition import admissible, affine_retry, classify_regions
-from .errors import (
-    CurveTorsionError,
-    DegenerateTorsion,
-    NonConvergence,
-    RetriesExhausted,
-    RootFindingFailed,
-    SegmentHitsSingularity,
-)
+from .errors import CurveTorsionError, DegenerateTorsion
 from .jacobian import QuadratureSpec, Triple, jacobian_identity_trials
 from .operators import (
     BallSpec,
@@ -44,23 +37,16 @@ from .operators import (
 )
 from .verification import geometric_ratio, verify_region
 
-EXIT_USAGE = 2
 EXIT_INPUT = 3
-EXIT_NUMERICAL = 4
 EXIT_VERIFICATION = 5
-
-_NUMERICAL_ERRORS = (NonConvergence, RootFindingFailed, SegmentHitsSingularity, RetriesExhausted)
 
 
 class _Failure(Exception):
-    def __init__(self, exc: BaseException, code: int):
+    """An input error from outside the library; it exits with EXIT_INPUT."""
+
+    def __init__(self, exc: BaseException):
         super().__init__(str(exc))
         self.exc = exc
-        self.code = code
-
-
-def _fail(exc: BaseException, code: int):
-    raise _Failure(exc, code)
 
 
 def _out_dir(out) -> Path:
@@ -75,7 +61,7 @@ def _load_curve(path: str) -> CurveGamma:
             data = json.load(fh)
         return CurveGamma.from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        _fail(exc, EXIT_INPUT)
+        raise _Failure(exc)
 
 
 _POSITIVE = click.FloatRange(min=0, min_open=True)
@@ -123,13 +109,10 @@ def _run(command):
             command(*args, **kwargs)
         except _Failure as failure:
             click.echo(reports.canonical_json(reports.error_json(failure.exc)), nl=False)
-            sys.exit(failure.code)
-        except _NUMERICAL_ERRORS as exc:
-            click.echo(reports.canonical_json(reports.error_json(exc)), nl=False)
-            sys.exit(EXIT_NUMERICAL)
+            sys.exit(EXIT_INPUT)
         except CurveTorsionError as exc:
             click.echo(reports.canonical_json(reports.error_json(exc)), nl=False)
-            sys.exit(EXIT_INPUT)
+            sys.exit(exc.exit_code)
 
     return guarded
 
@@ -404,7 +387,7 @@ def replay(verification_file, region_id):
         curve = CurveGamma.from_json(data["curve"])
         entry = next(r for r in data["reports"] if r["region_id"] == region_id)
     except (OSError, ValueError, KeyError, StopIteration) as exc:
-        _fail(exc, EXIT_INPUT)
+        raise _Failure(exc)
     witness = entry["worst_witness"]
     t = Triple(*(complex(re, im) for re, im in witness["triple"]))
     sample = geometric_ratio(curve, t)

@@ -44,7 +44,7 @@ from .geometry import (
     sample_polygon,
     square_polygon,
 )
-from .polynomials import ComplexPolynomial, roots
+from .polynomials import ComplexPolynomial, _horner_pair, roots
 from .polynomials import _eval_error_bound as _poly_noise_bound
 
 TAU = 2.0 * math.pi
@@ -66,6 +66,15 @@ _RETRY_DELTAS = (1e-2, 1e-1)
 
 REGION_TYPES = ("T00", "T01", "T10", "T11")
 
+# The classification table: each sigma entry as weights of (k, k_sub, k_mid).
+_SIGMA_T1 = ((0, 0, 0), (0, 0, 1), (0, 0, -2))
+_SIGMA_ROWS = {
+    "T00": ((0, 1, 0), (0, -2, 1), (1, 1, -2)),
+    "T01": _SIGMA_T1,
+    "T10": ((0, 1, 0), (0, -2, 1), (0, 1, -2)),
+    "T11": _SIGMA_T1,
+}
+
 
 @dataclass(frozen=True)
 class SigmaExponents:
@@ -85,15 +94,9 @@ class SigmaExponents:
 
     @staticmethod
     def table(region_type: str, k: int, k_sub: int, k_mid: int) -> tuple:
-        if region_type == "T00":
-            return (k_sub, k_mid - 2 * k_sub, k + k_sub - 2 * k_mid)
-        if region_type == "T01":
-            return (0, k_mid, -2 * k_mid)
-        if region_type == "T10":
-            return (k_sub, k_mid - 2 * k_sub, k_sub - 2 * k_mid)
-        if region_type == "T11":
-            return (0, k_mid, -2 * k_mid)
-        raise ValueError(f"unknown region type {region_type!r}")
+        if region_type not in _SIGMA_ROWS:
+            raise ValueError(f"unknown region type {region_type!r}")
+        return tuple(a * k + b * k_sub + c * k_mid for a, b, c in _SIGMA_ROWS[region_type])
 
     @classmethod
     def from_exponents(cls, region_type: str, k: int, k_sub: int, k_mid: int) -> "SigmaExponents":
@@ -667,17 +670,17 @@ def _boundary_grids(regions, n_samples: int) -> _Grids:
     return _Grids(pts, starts, seg, pos_err[seg])
 
 
-def _values_above_noise(poly: ComplexPolynomial, dpoly: ComplexPolynomial, grids: _Grids):
+def _values_above_noise(poly: ComplexPolynomial, grids: _Grids):
     """Values of poly at boundary points, and the mask of those kept.
 
     Boundary vertices carry clipping roundoff; near a root of the
     polynomial the resulting value is pure noise with a random argument,
     so values are kept only when they dominate both the evaluation error
-    and the value swing of a vertex-position error.  ``dpoly`` is poly's
-    derivative.
+    and the value swing of a vertex-position error.  One Horner pass gives
+    the values, bitwise ``poly(grids.pts)``, and the derivative.
     """
-    vals = poly(grids.pts)
-    swing = np.abs(dpoly(grids.pts)) * grids.pos_err
+    vals, dvals = _horner_pair(poly.coeffs, grids.pts)
+    swing = np.abs(dvals) * grids.pos_err
     return vals, np.abs(vals) > 32.0 * _poly_noise_bound(poly.coeffs, grids.pts) + 8.0 * swing
 
 
@@ -701,7 +704,7 @@ def _minimal_arcs(angles: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
     return np.where(counts > 1, TAU - widest, 0.0)
 
 
-def _measure_apertures(regions, polys: dict, derivs: dict):
+def _measure_apertures(regions, polys: dict):
     """Argument apertures of each polynomial over each region's boundary,
     stored in ``region.apertures``; measured _CHUNK_REGIONS at a time.
 
@@ -719,7 +722,7 @@ def _measure_apertures(regions, polys: dict, derivs: dict):
             if poly.degree <= 0:
                 apertures = np.zeros(len(batch))
             else:
-                vals, kept = _values_above_noise(poly, derivs[name], grids)
+                vals, kept = _values_above_noise(poly, grids)
                 apertures = _minimal_arcs(np.mod(np.angle(vals[kept]), TAU),
                                           grids.seg[kept], len(batch))
             for region, aperture in zip(batch, apertures.tolist()):
@@ -778,7 +781,7 @@ def _split_region(region: Region, ctx):
 _REFINE_MARGIN = 0.98
 
 
-def _refine_regions(regions, polys: dict, derivs: dict, ctx):
+def _refine_regions(regions, polys: dict, ctx):
     """Bisect regions until every boundary aperture fits its budget.
 
     A small margin below the budget absorbs the discretization gap between
@@ -798,7 +801,7 @@ def _refine_regions(regions, polys: dict, derivs: dict, ctx):
     nodes = [(region, []) for region in regions]
     level, leaves = nodes, 0
     while level:
-        _measure_apertures([region for region, _ in level], polys, derivs)
+        _measure_apertures([region for region, _ in level], polys)
         over = [(region, kids) for region, kids in level
                 if any(region.apertures[name] > limit for name, limit in limits.items())]
         stop = leaves + len(level) + len(over) > REGION_BUDGET
@@ -820,7 +823,7 @@ def _refine_regions(regions, polys: dict, derivs: dict, ctx):
     return out
 
 
-def _measure_comparability(regions, polys: dict, derivs: dict):
+def _measure_comparability(regions, polys: dict):
     """Extremes of |L| / (c |z - b|**k) over each region's boundary,
     stored in ``region.comparability_stats``; measured _CHUNK_REGIONS at a
     time.
@@ -840,7 +843,7 @@ def _measure_comparability(regions, polys: dict, derivs: dict):
             center = np.array([comp.center for comp in comps], dtype=np.complex128)[grids.seg]
             k = np.array([comp.k for comp in comps])[grids.seg]
             c = np.array([comp.c for comp in comps], dtype=np.float64)[grids.seg]
-            vals, kept = _values_above_noise(poly, derivs[name], grids)
+            vals, kept = _values_above_noise(poly, grids)
             dist = np.abs(grids.pts - center)
             # Grouped by k, every power takes numpy's scalar-exponent path.
             power = np.empty_like(dist)
@@ -934,9 +937,8 @@ def _walk(tt: TorsionTriple, eps: float | None):
 
 def _finish(regions, ctx: _Context, polys: dict, seed: int) -> DecompositionReport:
     """Refine and measure the walk's regions, and report them."""
-    derivs = {name: poly.derivative() for name, poly in polys.items()}
-    regions = _refine_regions(regions, polys, derivs, ctx)
-    _measure_comparability(regions, polys, derivs)
+    regions = _refine_regions(regions, polys, ctx)
+    _measure_comparability(regions, polys)
     return DecompositionReport(
         regions=regions,
         epsilon_used=ctx.eps,

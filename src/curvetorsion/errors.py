@@ -3,12 +3,16 @@
 Numerical failures (iteration did not converge, a quadrature segment runs
 into a pole) are distinct from structural errors (constant input where a
 nonconstant polynomial is required, empty sampling domains) so that callers
-can map them onto distinct exit codes.
+can map them onto distinct exit codes.  Each class carries the command-line
+exit code of its failures: 3 for input and structural errors, 4 for
+numerical ones.
 """
 
 
 class CurveTorsionError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 3
 
 
 class DegreeZero(CurveTorsionError):
@@ -18,9 +22,13 @@ class DegreeZero(CurveTorsionError):
 class NonConvergence(CurveTorsionError):
     """An iteration or quadrature failed its convergence test."""
 
+    exit_code = 4
+
 
 class RootFindingFailed(CurveTorsionError):
     """A decomposition step could not obtain usable roots."""
+
+    exit_code = 4
 
 
 class EpsNotDivisor(CurveTorsionError):
@@ -42,9 +50,13 @@ class SingularAtOrigin(CurveTorsionError):
 class RetriesExhausted(CurveTorsionError):
     """The deterministic perturbation family ran out of candidates."""
 
+    exit_code = 4
+
 
 class SegmentHitsSingularity(CurveTorsionError):
     """An integration segment passes too close to an integrand pole."""
+
+    exit_code = 4
 
 
 class AllSamplesZero(CurveTorsionError):

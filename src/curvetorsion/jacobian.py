@@ -20,7 +20,7 @@ from .curves import CurveGamma, TorsionTriple
 from .decomposition import Region
 from .errors import AllSamplesZero, NonConvergence, SegmentHitsSingularity
 from .geometry import _hulls_within, dist_point_triangle, minimal_arc
-from .polynomials import gauss_legendre
+from .polynomials import _det3_entries, gauss_legendre
 
 _REL_TOL = 1e-6
 _IDENTITY_TOL = 1e-6
@@ -56,15 +56,6 @@ def phi_sum(curve: CurveGamma, t: Triple) -> np.ndarray:
 def phi_alt(curve: CurveGamma, t: Triple) -> np.ndarray:
     """Alternating sum -Gamma(z1) + Gamma(z2) - Gamma(z3)."""
     return -curve(t.z1) + curve(t.z2) - curve(t.z3)
-
-
-def _det3_entries(c1, c2, c3):
-    """Cofactor determinant of three columns, each given as its three
-    entries; exactly antisymmetric in c1 <-> c2."""
-    a, d, g = c1
-    b, e, h = c2
-    c, f, i = c3
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _det3_values(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray):
@@ -111,6 +102,18 @@ def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> fl
     return best
 
 
+def _outer_segments(z1: complex, z2: complex, z3: complex, n: int):
+    """The n-node Gauss-Legendre rule mapped to [0, 1] and its nodes on the
+    two outer segments.
+
+    Returns (tau, wt, w1, w2): nodes tau and weights wt on [0, 1], and the
+    points w1 = z1 + (z2 - z1) tau and w2 = z2 + (z3 - z2) tau.
+    """
+    x, w = gauss_legendre(n)
+    tau = 0.5 * (x + 1.0)
+    return tau, 0.5 * w, z1 + (z2 - z1) * tau, z2 + (z3 - z2) * tau
+
+
 def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int, modulus: bool = False):
     """One pass of the tensorized three-level Gauss-Legendre rule.
 
@@ -118,13 +121,8 @@ def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int, modulus: bool = Fal
     is a float; otherwise it is the complex integral.
     """
     f = abs if modulus else (lambda v: v)
-    x, w = gauss_legendre(n)
-    tau = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-
-    z1, z2, z3 = complex(t.z1), complex(t.z2), complex(t.z3)
-    w1 = z1 + (z2 - z1) * tau
-    w2 = z2 + (z3 - z2) * tau
+    z1, z2, z3 = map(complex, t)
+    tau, wt, w1, w2 = _outer_segments(z1, z2, z3, n)
 
     L1, L2, L3 = tt.L1, tt.L2, tt.L3
     r2_w1 = f(np.asarray(L2(w1))) / f(np.asarray(L1(w1))) ** 2
@@ -184,17 +182,17 @@ def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
     Returns a dict with pass/fail counts, the exclusion count, and the
     worst relative deviation.
     """
-    tt = curve.torsion
     rng = np.random.default_rng(seed)
     q = q or QuadratureSpec(nodes_per_segment=12)
-    try:
-        poles = tt.singular_points
-    except (SegmentHitsSingularity, NonConvergence):
-        poles = ()  # screen nothing: check_triple_clear raises for every draw
     passes = failures = excluded = 0
     worst = 0.0
     attempts = 0
     cap = _MAX_ATTEMPTS_FACTOR * n_trials
+    try:
+        poles = curve.torsion.singular_points
+    except (SegmentHitsSingularity, NonConvergence):
+        # check_triple_clear would exclude every draw, so none is made.
+        excluded = attempts = cap
     while passes + failures < n_trials and attempts < cap:
         # One draw of 6k values is k draws of 6, so the triples are the
         # per-attempt ones; the screen only skips draws check_triple_clear
@@ -213,7 +211,7 @@ def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
             try:
                 integral = jacobian_integral(
                     curve, t, q, singularity_margin=margin,
-                    abs_tol=0.1 * _IDENTITY_TOL, max_doublings=5, tt=tt,
+                    abs_tol=0.1 * _IDENTITY_TOL, max_doublings=5,
                 )
             except (SegmentHitsSingularity, NonConvergence):
                 excluded += 1
@@ -232,11 +230,6 @@ def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
         "excluded_count": excluded,
         "worst_relative_deviation": worst,
     }
-
-
-def modulus_inside_integral(tt: TorsionTriple, t: Triple, q: QuadratureSpec) -> float:
-    """The nested integral with every factor replaced by its modulus."""
-    return _nested_quadrature(tt, t, q.nodes_per_segment, modulus=True)
 
 
 def sector_contained(f, region: Region, aperture_budget: float, n_samples: int):

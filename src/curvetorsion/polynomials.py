@@ -78,10 +78,7 @@ class ComplexPolynomial:
 
     def derivative(self) -> "ComplexPolynomial":
         """Power-rule derivative; constants map to the zero polynomial."""
-        if self._coeffs.size <= 1:
-            return ComplexPolynomial([0.0])
-        k = np.arange(1, self._coeffs.size)
-        return ComplexPolynomial(self._coeffs[1:] * k)
+        return ComplexPolynomial(_power_rule(self._coeffs))
 
     def shift(self, h) -> "ComplexPolynomial":
         """Taylor shift: coefficients of ``p(z + h)`` by synthetic division."""
@@ -106,32 +103,27 @@ class ComplexPolynomial:
             return ComplexPolynomial([0.0])
         return ComplexPolynomial(self._coeffs[: keep[-1] + 1])
 
-    def _binary(self, other, op):
+    def __add__(self, other):
         if isinstance(other, ComplexPolynomial):
             a, b = self._coeffs, other._coeffs
-            n = max(a.size, b.size)
-            out = np.zeros(n, dtype=np.complex128)
+            out = np.zeros(max(a.size, b.size), dtype=np.complex128)
             out[: a.size] = a
-            if op == "add":
-                out[: b.size] += b
-            else:
-                out[: b.size] -= b
+            out[: b.size] += b
             return ComplexPolynomial(out)
-        other = complex(other)
         out = np.array(self._coeffs, dtype=np.complex128)
-        out[0] = out[0] + other if op == "add" else out[0] - other
+        out[0] = out[0] + complex(other)
         return ComplexPolynomial(out)
-
-    def __add__(self, other):
-        return self._binary(other, "add")
 
     __radd__ = __add__
 
+    # IEEE gives x - y == x + (-y) bit for bit.  The one exception is a -0
+    # part of the constant term minus the zero polynomial or a real scalar,
+    # whose negation has a +0 part there: the result reads +0, not -0.
     def __sub__(self, other):
-        return self._binary(other, "sub")
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self)._binary(other, "add")
+        return -self + other
 
     def __neg__(self):
         return ComplexPolynomial(-self._coeffs)
@@ -190,6 +182,13 @@ class RootSet:
         return sum(m for _, m in self.roots)
 
 
+def _power_rule(coeffs: np.ndarray) -> np.ndarray:
+    """Derivative coefficients; a constant maps to the single zero."""
+    if coeffs.size <= 1:
+        return np.zeros(1, dtype=np.complex128)
+    return coeffs[1:] * np.arange(1, coeffs.size)
+
+
 def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
     """Value and first derivative of the polynomial at each z."""
     p = np.zeros_like(z)
@@ -221,8 +220,7 @@ def _residual_budget(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     Combines the Horner roundoff bound with the value swing a
     position error of a few ulps produces through the derivative.
     """
-    dcoe = coeffs[1:] * np.arange(1, coeffs.size) if coeffs.size > 1 else coeffs[:1] * 0
-    swing = 4.0 * _EPS * (1.0 + np.abs(z)) * _magnitude_bound(dcoe, z)
+    swing = 4.0 * _EPS * (1.0 + np.abs(z)) * _magnitude_bound(_power_rule(coeffs), z)
     return 64.0 * (_eval_error_bound(coeffs, z) + swing)
 
 
@@ -268,15 +266,6 @@ CLUSTER_TOL = 1e-7
 _MAX_ITER = 512
 
 
-def _derivative_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:
-    out = coeffs
-    for _ in range(order):
-        if out.size <= 1:
-            return np.zeros(1, dtype=np.complex128)
-        out = out[1:] * np.arange(1, out.size)
-    return out
-
-
 def _newton_on(coeffs: np.ndarray, z0: complex, iters: int = 30) -> complex:
     z = complex(z0)
     for _ in range(iters):
@@ -307,7 +296,7 @@ def _cluster_points(monic: np.ndarray, points: np.ndarray, scale: float):
     """
     deriv = [monic]
     for _ in range(monic.size - 1):
-        deriv.append(_derivative_coeffs(deriv[-1], 1))
+        deriv.append(_power_rule(deriv[-1]))
 
     def refined_center(pts):
         m = len(pts)
@@ -419,7 +408,16 @@ def det3(m) -> ComplexPolynomial:
         for j in range(i + 1, 3):
             if all(np.array_equal(rows[i][k].coeffs, rows[j][k].coeffs) for k in range(3)):
                 return ComplexPolynomial([0.0])
-    (a, b, c), (d, e, f), (g, h, i) = rows
+    return _det3_entries(*zip(*rows))
+
+
+def _det3_entries(c1, c2, c3):
+    """Cofactor determinant of three columns, each given as its three
+    entries; exactly antisymmetric in c1 <-> c2.  Entries may be
+    polynomials or arrays of values."""
+    a, d, g = c1
+    b, e, h = c2
+    c, f, i = c3
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 

@@ -21,12 +21,12 @@ from .errors import DegenerateTriple, EmptyRegion
 from .jacobian import (
     QuadratureSpec,
     Triple,
-    _det3_entries,
+    _nested_quadrature,
+    _outer_segments,
     check_triple_clear,
     jacobian_direct,
-    modulus_inside_integral,
 )
-from .polynomials import gauss_legendre
+from .polynomials import _det3_entries
 
 
 @dataclass(frozen=True)
@@ -156,13 +156,8 @@ def triple_integral_bound_check(t: Triple, q: QuadratureSpec):
     (lhs, rhs, ratio) with ratio = lhs / rhs (inf when rhs vanishes but lhs
     does not, 0 when both vanish).
     """
-    n = q.nodes_per_segment
-    x, w = gauss_legendre(n)
-    tau = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    z1, z2, z3 = complex(t.z1), complex(t.z2), complex(t.z3)
-    w1 = z1 + (z2 - z1) * tau
-    w2 = z2 + (z3 - z2) * tau
+    z1, z2, z3 = map(complex, t)
+    _, wt, w1, w2 = _outer_segments(z1, z2, z3, q.nodes_per_segment)
     block = np.abs(w2[None, :] - w1[:, None])
     inner = abs(z3 - z2) * np.tensordot(block, wt, axes=([1], [0]))
     lhs = abs(z2 - z1) * float(np.dot(wt, inner))
@@ -191,5 +186,5 @@ def modulus_comparability_check(curve: CurveGamma, region: Region | None,
         return 0.0, 0.0
     check_triple_clear(tt, t, singularity_margin)
     lhs = abs(jacobian_direct(curve, t))
-    rhs = modulus_inside_integral(tt, t, q)
+    rhs = _nested_quadrature(tt, t, q.nodes_per_segment, modulus=True)
     return lhs, rhs

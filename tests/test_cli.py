@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from curvetorsion import cli, curves, decomposition, jacobian, verification
+from curvetorsion import cli, curves, decomposition, errors, jacobian, verification
 from curvetorsion.cli import main
 from curvetorsion.curves import CurveGamma
 from curvetorsion.decomposition import SigmaExponents, admissible
@@ -299,3 +301,14 @@ class TestSvg:
         for tag in ("<circle", "<rect", "<text", "<g>"):
             assert tag not in svg
         assert "data-sigma" in svg
+
+
+def test_error_exit_codes_match_readme_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for code, names in re.findall(r"^\| `(\d)` \| (.*) \|$", readme, re.MULTILINE):
+        table.update((name, int(code)) for name in re.findall(r"`(\w+)`", names))
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.CurveTorsionError)}
+    assert set(table) == set(classes)
+    assert {name: cls.exit_code for name, cls in classes.items()} == table

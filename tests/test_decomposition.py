@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,21 @@ class TestSigmaTable:
         assert SigmaExponents.from_exponents("T01", 5, 0, 2).sigma == (0, 2, -4)
         assert SigmaExponents.from_exponents("T10", 0, 2, 1).sigma == (2, 1 - 4, 2 - 2)
         assert SigmaExponents.from_exponents("T11", 0, 0, 3).sigma == (0, 3, -6)
+
+    def test_rows_match_branches(self):
+        def branches(region_type, k, k_sub, k_mid):
+            if region_type == "T00":
+                return (k_sub, k_mid - 2 * k_sub, k + k_sub - 2 * k_mid)
+            if region_type == "T10":
+                return (k_sub, k_mid - 2 * k_sub, k_sub - 2 * k_mid)
+            return (0, k_mid, -2 * k_mid)
+
+        for region_type in decomposition.REGION_TYPES:
+            for k, k_sub, k_mid in itertools.product(range(4), range(4), range(4)):
+                assert (SigmaExponents.table(region_type, k, k_sub, k_mid)
+                        == branches(region_type, k, k_sub, k_mid))
+        with pytest.raises(ValueError, match="unknown region type"):
+            SigmaExponents.table("T02", 0, 0, 0)
 
     def test_admissible_examples(self):
         assert admissible(SigmaExponents.from_exponents("T11", 0, 0, 0))
@@ -567,8 +583,7 @@ def _refine_mixed(curve):
     """The mixed curve's walk regions refined, and fresh walk regions with
     the context and polynomials for a reference run."""
     walked, ctx, polys = decomposition._walk(curve.torsion, None)
-    derivs = {name: p.derivative() for name, p in polys.items()}
-    got = decomposition._refine_regions(walked, polys, derivs, ctx)
+    got = decomposition._refine_regions(walked, polys, ctx)
     return got, decomposition._walk(curve.torsion, None)[0], ctx, polys
 
 
@@ -602,9 +617,8 @@ class TestBatchedMeasurement:
         if chunk is not None:
             monkeypatch.setattr(decomposition, "_CHUNK_REGIONS", chunk)
         for polys, regions, apertures, stats in measured_sets:
-            derivs = {name: p.derivative() for name, p in polys.items()}
-            decomposition._measure_apertures(regions, polys, derivs)
-            decomposition._measure_comparability(regions, polys, derivs)
+            decomposition._measure_apertures(regions, polys)
+            decomposition._measure_comparability(regions, polys)
             assert [r.apertures for r in regions] == apertures
             assert [r.comparability_stats for r in regions] == stats
 

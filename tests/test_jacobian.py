@@ -244,6 +244,22 @@ class TestScreenedIdentityTrials:
         assert got == reference_identity_trials(curve, n, seed=1, margin=margin)
         assert got["excluded_count"] == 300 * n and got["trials"] == 0
 
+    def test_no_quadrature_without_poles(self, monkeypatch):
+        # L1 vanishes identically, so every draw would be excluded
+        calls = Counter()
+        real = jacobian.jacobian_integral
+
+        def counting(*args, **kwargs):
+            calls["integral"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jacobian, "jacobian_integral", counting)
+        curve = CurveGamma.from_components(poly(1), poly(0, 0, 1), poly(0, 0, 0, 1))
+        got = jacobian_identity_trials(curve, 3, seed=1)
+        assert calls["integral"] == 0
+        assert got == {"trials": 0, "passes": 0, "failures": 0,
+                       "excluded_count": 900, "worst_relative_deviation": 0.0}
+
     def test_each_rule_built_once(self, monkeypatch, curve_mixed):
         built = Counter()
         real = legendre.leggauss
