@@ -23,6 +23,7 @@ from .decomposition import (
     convexify,
     d1_decompose,
     d2_decompose,
+    decompose,
 )
 from .errors import (
     AllSamplesZero,
@@ -87,7 +88,7 @@ __all__ = [
     "TorsionTriple", "Triple", "VerificationReport", "WeakTypeReport",
     "ZeroVolume", "admissible", "affine_apply", "affine_retry",
     "ball_measure_check", "classify_regions", "convexify", "convolve",
-    "d1_decompose", "d2_decompose", "det2", "det3", "extension",
+    "d1_decompose", "d2_decompose", "decompose", "det2", "det3", "extension",
     "geometric_ratio", "jacobian_direct", "jacobian_identity_trials", "jacobian_integral",
     "lambda_weight", "modulus_comparability_check", "norm_ratio_scan",
     "normalize_at_origin", "offspring_curve", "pairing", "phi_alt", "phi_sum",

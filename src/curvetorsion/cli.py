@@ -21,7 +21,7 @@ import numpy as np
 
 from . import reports
 from .curves import CurveGamma
-from .decomposition import admissible, affine_retry, classify_regions
+from .decomposition import admissible, classify_regions, decompose
 from .errors import CurveTorsionError, DegenerateTorsion
 from .jacobian import QuadratureSpec, Triple, jacobian_identity_trials
 from .operators import (
@@ -47,12 +47,6 @@ class _Failure(Exception):
     def __init__(self, exc: BaseException):
         super().__init__(str(exc))
         self.exc = exc
-
-
-def _out_dir(out) -> Path:
-    path = Path(out or os.environ.get("CURVETORSION_OUT", "."))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _load_curve(path: str) -> CurveGamma:
@@ -100,19 +94,36 @@ def _pq_pair(text: str) -> PQPair:
 
 
 def _run(command):
-    """Guard a command: a failure prints its error JSON and exits with its
-    code."""
+    """Run a command body and emit what it returns.
+
+    The body returns (files, summary, ok).  ``files`` maps a file name to a
+    JSON payload (dict) or to text (str); they are written to ``--out``
+    (default $CURVETORSION_OUT, else the working directory).  ``summary``
+    is printed, and a false ``ok`` exits with EXIT_VERIFICATION.  A failure
+    prints its error JSON and exits with its code, having written nothing.
+    """
 
     @functools.wraps(command)
-    def guarded(*args, **kwargs):
+    def guarded(*args, out=None, **kwargs):
         try:
-            command(*args, **kwargs)
+            files, summary, ok = command(*args, **kwargs)
         except _Failure as failure:
             click.echo(reports.canonical_json(reports.error_json(failure.exc)), nl=False)
             sys.exit(EXIT_INPUT)
         except CurveTorsionError as exc:
             click.echo(reports.canonical_json(reports.error_json(exc)), nl=False)
             sys.exit(exc.exit_code)
+        if files:
+            out_dir = Path(out or os.environ.get("CURVETORSION_OUT", "."))
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                if isinstance(content, str):
+                    (out_dir / name).write_text(content, encoding="utf-8")
+                else:
+                    reports.write_json(out_dir / name, content)
+        click.echo(summary)
+        if not ok:
+            sys.exit(EXIT_VERIFICATION)
 
     return guarded
 
@@ -134,16 +145,14 @@ def main():
               help="Also sample inadmissible regions (reported, never asserted).")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_run
-def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
+def analyze(curve_file, seed, eps, samples, retry, exploratory):
     """Decompose, verify, and map a curve: writes decomposition.json,
     verification.json, and regions.svg."""
     curve = _load_curve(curve_file)
-    if curve.torsion.degenerate:
-        raise DegenerateTorsion("curve torsion vanishes identically")
-    report = classify_regions(curve.torsion, eps=eps, seed=seed)
-    used_curve = curve
-    if retry and report.inadmissible():
-        used_curve, _amap, report = affine_retry(curve, report, eps=eps)
+    if retry:
+        curve, report = decompose(curve, eps, seed=seed)
+    else:
+        report = classify_regions(curve.torsion, eps=eps, seed=seed)
     entries = []
     skipped = []
     for idx, region in enumerate(report.regions):
@@ -151,23 +160,21 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
             np.random.default_rng([seed & 0x7FFFFFFF, idx]).integers(0, 2**31 - 1)
         )
         if admissible(region.sigma) or exploratory:
-            rep = verify_region(used_curve, region, region.sigma, samples, region_seed,
+            rep = verify_region(curve, region, region.sigma, samples, region_seed,
                                 exploratory=not admissible(region.sigma))
             entries.append(rep.to_json())
         else:
             skipped.append({"region_id": region.region_id,
                             "reason": "inadmissible",
                             "sigma": list(region.sigma.sigma)})
-    out_dir = _out_dir(out)
-    curve_json = used_curve.to_json()
-    reports.write_json(out_dir / "decomposition.json",
-                       reports.decomposition_json(report, curve_json))
-    reports.write_json(out_dir / "verification.json",
-                       reports.verification_json(curve_json, entries, skipped, seed))
-    (out_dir / "regions.svg").write_text(reports.svg_region_map(report),
-                                         encoding="utf-8")
-    click.echo(f"regions={report.region_count} verified={len(entries)} "
-               f"skipped={len(skipped)}")
+    curve_json = curve.to_json()
+    files = {
+        "decomposition.json": reports.decomposition_json(report, curve_json),
+        "verification.json": reports.verification_json(curve_json, entries, skipped, seed),
+        "regions.svg": reports.svg_region_map(report),
+    }
+    return (files, f"regions={report.region_count} verified={len(entries)} "
+            f"skipped={len(skipped)}", True)
 
 
 @main.command("jacobian-check")
@@ -181,7 +188,7 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory, out):
               help="Minimum pole distance for a triple to count as admissible.")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_run
-def jacobian_check(curve_file, trials, seed, nodes, box_radius, margin, out):
+def jacobian_check(curve_file, trials, seed, nodes, box_radius, margin):
     """Compare the integral and direct Jacobian on random admissible triples."""
     curve = _load_curve(curve_file)
     if curve.torsion.degenerate:
@@ -191,24 +198,13 @@ def jacobian_check(curve_file, trials, seed, nodes, box_radius, margin, out):
         q=QuadratureSpec(nodes_per_segment=nodes),
         box_radius=box_radius, margin=margin,
     )
-    payload = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "kind": "jacobian_check",
-        "curve": curve.to_json(),
-        "nodes": nodes,
-        "seed": seed,
-        "box_radius": box_radius,
-        "margin": margin,
-        **result,
-    }
-    reports.write_json(_out_dir(out) / "jacobian_check.json", payload)
-    click.echo(
-        f"passes={result['passes']} failures={result['failures']} "
-        f"excluded={result['excluded_count']} "
-        f"worst={result['worst_relative_deviation']:.3e}"
-    )
-    if result["failures"] > 0 or result["passes"] < trials:
-        sys.exit(EXIT_VERIFICATION)
+    payload = reports.artifact("jacobian_check", curve=curve.to_json(), nodes=nodes,
+                               seed=seed, box_radius=box_radius, margin=margin, **result)
+    summary = (f"passes={result['passes']} failures={result['failures']} "
+               f"excluded={result['excluded_count']} "
+               f"worst={result['worst_relative_deviation']:.3e}")
+    ok = result["failures"] == 0 and result["passes"] >= trials
+    return {"jacobian_check.json": payload}, summary, ok
 
 
 @main.group()
@@ -232,30 +228,20 @@ def operator():
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_run
 def operator_pairing(curve_file, seed, n_mc, disk_radius, e_kind, e_center,
-                     e_size, f_kind, f_center, f_size, out):
+                     e_size, f_kind, f_center, f_size):
     """Restricted weak-type pairing estimate for a set pair."""
     curve = _load_curve(curve_file)
     E = MeasurableSet(kind=e_kind, center=_center(e_center), size=e_size)
     F = MeasurableSet(kind=f_kind, center=_center(f_center), size=f_size)
     rep = pairing(curve, E, F, disk_radius, n_mc, seed)
-    payload = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "kind": "weak_type",
-        "curve": curve.to_json(),
-        "seed": seed,
-        "disk_radius": disk_radius,
-        "set_e": E.to_json(),
-        "set_f": F.to_json(),
-        "report": rep.to_json(),
-    }
-    out_dir = _out_dir(out)
-    reports.write_json(out_dir / "weaktype.json", payload)
+    payload = reports.artifact("weak_type", curve=curve.to_json(), seed=seed,
+                               disk_radius=disk_radius, set_e=E.to_json(),
+                               set_f=F.to_json(), report=rep.to_json())
     fields = ["pairing", "alpha", "beta", "rwt_ratio", "mc_samples", "mc_stderr",
               "volume_e", "volume_f", "weak_type_gap"]
-    (out_dir / "weaktype.csv").write_text(
-        reports.rows_to_csv([rep.to_json()], fields), encoding="utf-8"
-    )
-    click.echo(f"pairing={rep.pairing:.6g} rwt_ratio={rep.rwt_ratio:.6g}")
+    files = {"weaktype.json": payload,
+             "weaktype.csv": reports.rows_to_csv([rep.to_json()], fields)}
+    return files, f"pairing={rep.pairing:.6g} rwt_ratio={rep.rwt_ratio:.6g}", True
 
 
 @operator.command("ball-measure")
@@ -263,24 +249,14 @@ def operator_pairing(curve_file, seed, n_mc, disk_radius, e_kind, e_center,
 @click.option("--x", type=_POSITIVE, required=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_run
-def operator_ball_measure(k_prime, x, out):
+def operator_ball_measure(k_prime, x):
     """Weighted measure of the calibrated ball against x / 8."""
     spec = BallSpec(x=x, k_prime=k_prime)
     sigma, target = ball_measure_check(spec)
-    payload = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "kind": "ball_measure",
-        "k_prime": k_prime,
-        "x": x,
-        "nu": spec.nu,
-        "radius": spec.radius,
-        "sigma_measure": sigma,
-        "target": target,
-    }
-    reports.write_json(_out_dir(out) / "ball_measure.json", payload)
-    click.echo(f"{sigma:.6g} vs target {target:.6g}")
-    if abs(sigma - target) > 1e-12 * max(1.0, abs(target)):
-        sys.exit(EXIT_VERIFICATION)
+    payload = reports.artifact("ball_measure", k_prime=k_prime, x=x, nu=spec.nu,
+                               radius=spec.radius, sigma_measure=sigma, target=target)
+    ok = abs(sigma - target) <= 1e-12 * max(1.0, abs(target))
+    return {"ball_measure.json": payload}, f"{sigma:.6g} vs target {target:.6g}", ok
 
 
 def _scan_family():
@@ -312,28 +288,21 @@ def _scan_family():
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_run
 def operator_scan(curve_file, theta, q_extra, dilations, grid_half_width,
-                  grid_points, n_quad, out):
+                  grid_points, n_quad):
     """Output/input norm-ratio table over exponent pairs and test functions."""
     curve = _load_curve(curve_file)
     grid = GridSpec(half_width=grid_half_width, points_per_axis=grid_points)
     table = norm_ratio_scan(curve, theta + q_extra, _scan_family(), grid,
                             n_quad=n_quad, dilations=tuple(dilations))
-    out_dir = _out_dir(out)
-    payload = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "kind": "norm_scan",
-        "curve": curve.to_json(),
-        "grid": {"half_width": grid_half_width, "points_per_axis": grid_points},
-        "n_quad": n_quad,
-        "rows": reports.json_sanitize(table["rows"]),
-        "flatness": reports.json_sanitize(table["flatness"]),
-    }
-    reports.write_json(out_dir / "scan.json", payload)
-    fields = ["p", "q", "theta", "function", "dilation", "lq_norm", "lp_norm", "ratio"]
-    (out_dir / "scan.csv").write_text(
-        reports.rows_to_csv(table["rows"], fields), encoding="utf-8"
+    payload = reports.artifact(
+        "norm_scan", curve=curve.to_json(),
+        grid={"half_width": grid_half_width, "points_per_axis": grid_points},
+        n_quad=n_quad, rows=reports.json_sanitize(table["rows"]),
+        flatness=reports.json_sanitize(table["flatness"]),
     )
-    click.echo(f"rows={len(table['rows'])}")
+    fields = ["p", "q", "theta", "function", "dilation", "lq_norm", "lp_norm", "ratio"]
+    files = {"scan.json": payload, "scan.csv": reports.rows_to_csv(table["rows"], fields)}
+    return files, f"rows={len(table['rows'])}", True
 
 
 @operator.command("extension-endpoint")
@@ -343,7 +312,7 @@ def operator_scan(curve_file, theta, q_extra, dilations, grid_half_width,
 @click.option("--n-quad", type=_QUAD_NODES, default=24)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_run
-def operator_extension_endpoint(curve_file, seed, points, n_quad, out):
+def operator_extension_endpoint(curve_file, seed, points, n_quad):
     """Check |extension(f)(z)| <= weighted L1 mass of f at sampled z."""
     curve = _load_curve(curve_file)
     rng = np.random.default_rng(seed)
@@ -360,19 +329,10 @@ def operator_extension_endpoint(curve_file, seed, points, n_quad, out):
             rows.append({"function": name,
                          "z": [[c.real, c.imag] for c in z],
                          "value": val, "mass": mass, "ok": ok})
-    payload = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "kind": "extension_endpoint",
-        "curve": curve.to_json(),
-        "seed": seed,
-        "n_quad": n_quad,
-        "violations": violations,
-        "rows": rows,
-    }
-    reports.write_json(_out_dir(out) / "extension_endpoint.json", payload)
-    click.echo(f"checked={len(rows)} violations={violations}")
-    if violations:
-        sys.exit(EXIT_VERIFICATION)
+    payload = reports.artifact("extension_endpoint", curve=curve.to_json(), seed=seed,
+                               n_quad=n_quad, violations=violations, rows=rows)
+    return ({"extension_endpoint.json": payload},
+            f"checked={len(rows)} violations={violations}", not violations)
 
 
 @main.command("replay")
@@ -392,14 +352,13 @@ def replay(verification_file, region_id):
     t = Triple(*(complex(re, im) for re, im in witness["triple"]))
     sample = geometric_ratio(curve, t)
     match = abs(sample.ratio - witness["ratio"]) <= 1e-9 * max(1.0, witness["ratio"])
-    click.echo(reports.canonical_json({
+    summary = reports.canonical_json({
         "region_id": region_id,
         "stored_ratio": witness["ratio"],
         "recomputed_ratio": sample.ratio,
         "match": match,
-    }), nl=False)
-    if not match:
-        sys.exit(EXIT_VERIFICATION)
+    })
+    return {}, summary.rstrip("\n"), match
 
 
 if __name__ == "__main__":

@@ -895,7 +895,7 @@ def _walk(tt: TorsionTriple, eps: float | None):
     comparability, the decomposition context and the trimmed L1, L2, L3.
     """
     if tt.degenerate:
-        raise DegenerateTorsion("torsion vanishes identically")
+        raise DegenerateTorsion("curve torsion vanishes identically")
     polys = dict(zip(("L1", "L2", "L3"), tt.trimmed))
     d = max(max(p.degree, 0) for p in polys.values())
     if eps is None:
@@ -980,6 +980,21 @@ def _retry_ok(sig: SigmaExponents) -> bool:
     return admissible(sig) and exponent_exclusions_ok(sig)
 
 
+def decompose(curve: CurveGamma, eps: float | None = None, *,
+              seed: int = 0) -> tuple[CurveGamma, DecompositionReport]:
+    """Classify ``curve``, or its first ``affine_retry`` candidate when a
+    walk region is inadmissible; returns (curve used, report).
+
+    The curve is walked once and, when every region is admissible, that
+    walk is finished; otherwise no report of the curve itself is built.
+    """
+    regions, ctx, polys = _walk(curve.torsion, eps)
+    if all(admissible(r.sigma) for r in regions):
+        return curve, _finish(regions, ctx, polys, seed)
+    used, _amap, report = _retry_candidates(curve, eps, seed)
+    return used, report
+
+
 def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
                  eps: float | None = None):
     """Perturb the curve until every region classifies admissibly.
@@ -1003,7 +1018,11 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
     """
     if all(_retry_ok(r.sigma) for r in report.regions):
         return curve, AffineMap3.identity(), report
+    return _retry_candidates(curve, eps, report.seed)
 
+
+def _retry_candidates(curve: CurveGamma, eps: float | None, seed: int):
+    """The candidate loop of ``affine_retry`` and ``decompose``."""
     log = []
     for delta in _RETRY_DELTAS:
         for i in range(3):
@@ -1029,7 +1048,7 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
                     "inadmissible_count": bad,
                 })
                 if not bad:
-                    rep2 = _finish(regions, ctx, polys, report.seed)
+                    rep2 = _finish(regions, ctx, polys, seed)
                     rep2.excluded_exponents_log = log
                     return curve2, amap, rep2
     raise RetriesExhausted(

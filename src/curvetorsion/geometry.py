@@ -26,8 +26,6 @@ def clip_halfplane(poly, anchor: complex, normal: complex):
     lerp give on numpy scalar vertices.  Returns Python ``complex``
     vertices.
     """
-    if not poly:
-        return ()
     pts = [complex(v) for v in poly]
     anchor = complex(anchor)
     w = complex(normal).conjugate()
@@ -65,8 +63,6 @@ def ensure_ccw(poly):
 
 
 def dedupe_vertices(poly, tol: float):
-    if not poly:
-        return ()
     out = []
     for v in poly:
         if not out or abs(v - out[-1]) > tol:

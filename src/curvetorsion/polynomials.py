@@ -35,8 +35,6 @@ class ComplexPolynomial:
 
     def __init__(self, coeffs):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128)).ravel()
-        if arr.size == 0:
-            arr = np.zeros(1, dtype=np.complex128)
         nz = np.flatnonzero(arr)
         if nz.size == 0:
             arr = np.zeros(1, dtype=np.complex128)

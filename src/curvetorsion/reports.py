@@ -215,42 +215,36 @@ def region_json(region: Region) -> dict:
     }
 
 
+def artifact(kind: str, **fields) -> dict:
+    """The envelope every JSON artifact shares: schema version and kind."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
 def decomposition_json(report: DecompositionReport, curve_json: dict | None = None) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "decomposition",
-        "curve": curve_json,
-        "epsilon_used": float(report.epsilon_used),
-        "thickening_B": THICKENING,
-        "working_radius": float(report.working_radius),
-        "dyadic_factor": DYADIC_FACTOR,
-        "cluster_tol": CLUSTER_TOL,
-        "region_budget": REGION_BUDGET,
-        "region_count": int(report.region_count),
-        "seed": int(report.seed),
-        "excluded_exponents_log": report.excluded_exponents_log,
-        "root_info": report.root_info,
-        "regions": [region_json(r) for r in report.regions],
-    }
+    return artifact(
+        "decomposition",
+        curve=curve_json,
+        epsilon_used=float(report.epsilon_used),
+        thickening_B=THICKENING,
+        working_radius=float(report.working_radius),
+        dyadic_factor=DYADIC_FACTOR,
+        cluster_tol=CLUSTER_TOL,
+        region_budget=REGION_BUDGET,
+        region_count=int(report.region_count),
+        seed=int(report.seed),
+        excluded_exponents_log=report.excluded_exponents_log,
+        root_info=report.root_info,
+        regions=[region_json(r) for r in report.regions],
+    )
 
 
 def verification_json(curve_json: dict, entries: list, skipped: list, seed: int) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verification",
-        "curve": curve_json,
-        "seed": int(seed),
-        "reports": entries,
-        "skipped": skipped,
-    }
+    return artifact("verification", curve=curve_json, seed=int(seed), reports=entries,
+                    skipped=skipped)
 
 
 def error_json(exc: BaseException) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "error",
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
+    return artifact("error", error={"type": type(exc).__name__, "message": str(exc)})
 
 
 def rows_to_csv(rows: list, fieldnames: list) -> str:

@@ -119,11 +119,10 @@ def verify_region(curve: CurveGamma, region: Region, sig: SigmaExponents,
         tt = curve.torsion
     rng = np.random.default_rng(seed)
     pts = region.sample(3 * n, rng)
-    z1, z2, z3 = pts[0::3], pts[1::3], pts[2::3]
-
     bound, jac = _interleaved_values(curve, tt, pts)
     jac = np.abs(jac)
-    good = (bound > 0.0) & (z1 != z2) & (z2 != z3) & (z1 != z3) & np.isfinite(jac)
+    # A coincident pair makes the distance product, and so the bound, 0.
+    good = (bound > 0.0) & np.isfinite(jac)
     excluded = int(n - int(np.count_nonzero(good)))
     if not np.any(good):
         raise EmptyRegion("every sampled triple was excluded")
@@ -131,7 +130,7 @@ def verify_region(curve: CurveGamma, region: Region, sig: SigmaExponents,
     order = int(np.argmin(ratios))
     idx = np.flatnonzero(good)[order]
     witness = RatioSample(
-        triple=Triple(complex(z1[idx]), complex(z2[idx]), complex(z3[idx])),
+        triple=Triple(*map(complex, pts[3 * idx:3 * idx + 3])),
         jacobian_mod=float(jac[idx]),
         bound_value=float(bound[idx]),
         ratio=float(ratios[order]),
@@ -139,7 +138,7 @@ def verify_region(curve: CurveGamma, region: Region, sig: SigmaExponents,
     return VerificationReport(
         region_id=region.region_id,
         n_samples=n,
-        min_ratio=float(np.min(ratios)),
+        min_ratio=witness.ratio,
         median_ratio=float(np.median(ratios)),
         max_ratio=float(np.max(ratios)),
         worst_witness=witness,

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -10,7 +11,7 @@ from curvetorsion import cli, curves, decomposition, errors, jacobian, verificat
 from curvetorsion.cli import main
 from curvetorsion.curves import CurveGamma
 from curvetorsion.decomposition import SigmaExponents, admissible
-from curvetorsion.errors import RootFindingFailed
+from curvetorsion.errors import NonConvergence, RootFindingFailed
 from curvetorsion.reports import svg_region_map
 
 from conftest import poly, validate
@@ -312,3 +313,82 @@ def test_error_exit_codes_match_readme_table():
                if isinstance(cls, type) and issubclass(cls, errors.CurveTorsionError)}
     assert set(table) == set(classes)
     assert {name: cls.exit_code for name, cls in classes.items()} == table
+
+
+class TestOutputStep:
+    def test_retry_refines_once(self, tmp_path, monkeypatch):
+        # The walk already shows the curve's inadmissible regions, so only
+        # the accepted candidate is refined and measured.
+        curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
+        curve_file = write_curve(tmp_path, curve)
+        refined, measured = [], []
+        real_refine = decomposition._refine_regions
+        real_measure = decomposition._measure_comparability
+
+        def counting_refine(*args):
+            refined.append(args[0])
+            return real_refine(*args)
+
+        def counting_measure(regions, *args):
+            measured.append(len(regions))
+            return real_measure(regions, *args)
+
+        monkeypatch.setattr(decomposition, "_refine_regions", counting_refine)
+        monkeypatch.setattr(decomposition, "_measure_comparability", counting_measure)
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["analyze", str(curve_file), "--seed", "7",
+                                   "--samples", "10", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.output == "regions=56 verified=56 skipped=0\n"
+        assert len(refined) == 1
+        assert measured == [56]
+
+    @pytest.mark.parametrize("command,target", [
+        (["analyze", "--samples", "10"], "verify_region"),
+        (["jacobian-check", "--trials", "3"], "jacobian_identity_trials"),
+    ])
+    def test_library_error_writes_nothing(self, tmp_path, monkeypatch, moment_curve,
+                                          command, target):
+        def failing(*args, **kwargs):
+            raise NonConvergence("no convergence")
+
+        monkeypatch.setattr(cli, target, failing)
+        curve_file = write_curve(tmp_path, moment_curve)
+        out = tmp_path / "out"
+        out.mkdir()
+        res = RUNNER.invoke(main, [command[0], str(curve_file), *command[1:],
+                                   "--seed", "1", "--out", str(out)])
+        assert res.exit_code == NonConvergence.exit_code
+        payload = json.loads(res.output)
+        assert payload["error"] == {"type": "NonConvergence", "message": "no convergence"}
+        validate(payload, "error.schema.json")
+        assert list(out.iterdir()) == []
+
+    def test_bodies_return_their_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CURVETORSION_OUT", raising=False)
+        body = cli.operator_ball_measure.callback.__wrapped__
+        files, summary, ok = body(k_prime=0, x=1.0)
+        assert list(files) == ["ball_measure.json"]
+        assert files["ball_measure.json"]["kind"] == "ball_measure"
+        assert summary == "0.125 vs target 0.125" and ok
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_only_run_writes_or_exits():
+    # Command bodies return (files, summary, ok); only _run writes, prints
+    # and exits.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    run = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_run")
+    inside_run = set(ast.walk(run))
+    offenders = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn in inside_run:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                owner = getattr(node.func.value, "id", None)
+                if name in ("write_json", "write_text", "echo") or (owner, name) == ("sys", "exit"):
+                    offenders.append(f"{fn.name}:{node.lineno} {name}")
+    assert offenders == []

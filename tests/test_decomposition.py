@@ -27,6 +27,7 @@ from curvetorsion.decomposition import (
 )
 from curvetorsion.geometry import (
     clip_halfplane,
+    dedupe_vertices,
     is_convex,
     minimal_arc,
     point_in_polygon,
@@ -489,6 +490,20 @@ class TestAffineRetry:
         assert counts == {"refined": 1, "measured": rep2.region_count}
         assert rep2.region_count == 56
 
+    def test_decompose_finishes_an_admissible_walk(self, suite_reports):
+        curve, _, rep = suite_reports["z3z5"]
+        used, rep2 = decomposition.decompose(curve)
+        assert used is curve
+        assert (reports.canonical_json(reports.decomposition_json(rep2))
+                == reports.canonical_json(reports.decomposition_json(rep)))
+
+    def test_decompose_is_affine_retry_without_the_first_finish(self, retry_run):
+        rep, (curve2, _, rep2), _ = retry_run
+        used, rep3 = decomposition.decompose(RETRY_CURVE, seed=rep.seed)
+        assert used.to_json() == curve2.to_json()
+        assert (reports.canonical_json(reports.decomposition_json(rep3))
+                == reports.canonical_json(reports.decomposition_json(rep2)))
+
     def test_exclusion_predicate(self):
         assert not exponent_exclusions_ok(SigmaExponents.from_exponents("T10", 0, 1, 0))
         assert not exponent_exclusions_ok(SigmaExponents.from_exponents("T00", 2, 1, 2))
@@ -648,3 +663,15 @@ class TestBatchedMeasurement:
         assert _refined(got) == _refined(reference_refine(walked, polys, ctx))
         assert len(got) == 3872
         assert not any(r.sector_flag for r in got)
+
+
+def test_empty_inputs():
+    # the all-zero branch covers no coefficients, and the loops cover no
+    # vertices
+    zero = ComplexPolynomial([])
+    assert zero.coeffs.tolist() == [0j] and zero.degree == -1
+    assert zero == ComplexPolynomial([0.0, 0.0])
+    assert clip_halfplane((), 1 + 1j, 1j) == ()
+    assert clip_halfplane([], 0j, 1) == ()
+    assert dedupe_vertices((), 1e-9) == ()
+    assert dedupe_vertices([], 0.0) == ()

@@ -1,0 +1,77 @@
+"""Property tests of the geometric ratio |J| / (|L3(z1) L3(z2) L3(z3)|^(1/3)
+times the pairwise distances): it is unchanged by an invertible affine map
+of C^3 applied to the curve, and by an affine reparametrization of the
+curve compared at the mapped triple."""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from curvetorsion.curves import AffineMap3, CurveGamma, affine_apply
+from curvetorsion.errors import DegenerateTriple
+from curvetorsion.jacobian import Triple
+from curvetorsion.polynomials import ComplexPolynomial
+from curvetorsion.verification import geometric_ratio
+
+reals = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal=False)
+complexes = st.builds(complex, reals, reals)
+
+
+@st.composite
+def curves(draw):
+    """Three components of degree 3 or 4 with bounded coefficients."""
+    comps = [ComplexPolynomial(draw(st.lists(complexes, min_size=4, max_size=5)))
+             for _ in range(3)]
+    return CurveGamma.from_components(*comps)
+
+
+triples = st.builds(Triple, complexes, complexes, complexes)
+scales = st.builds(cmath.rect, st.floats(min_value=0.25, max_value=2.0),
+                   st.floats(min_value=-math.pi, max_value=math.pi))
+
+
+def ratio_or_none(curve, t):
+    """The ratio, or None when its bound is within reach of 0."""
+    try:
+        sample = geometric_ratio(curve, t)
+    except DegenerateTriple:
+        return None
+    return sample.ratio if sample.bound_value > 1e-3 else None
+
+
+def assert_same(a, b):
+    assert abs(a - b) <= 1e-8 * a
+
+
+@settings(max_examples=200, deadline=None)
+@given(curves(), triples, st.lists(complexes, min_size=9, max_size=9),
+       st.lists(complexes, min_size=3, max_size=3))
+def test_affine_map_of_the_curve(curve, t, entries, offset):
+    # J and L3 both scale by det M, so |J| and the bound scale by |det M|
+    matrix = np.array(entries).reshape(3, 3)
+    assume(np.linalg.cond(matrix) < 1e3)
+    base = ratio_or_none(curve, t)
+    assume(base is not None)
+    moved = ratio_or_none(affine_apply(curve, AffineMap3.create(matrix, offset)), t)
+    assume(moved is not None)
+    assert_same(base, moved)
+
+
+@settings(max_examples=200, deadline=None)
+@given(curves(), triples, scales, complexes)
+def test_affine_reparametrization(curve, t, lam, h):
+    # g(z) = curve(lam * z + h): J and the bound both scale by |lam|^3
+    reparam = CurveGamma.from_components(*(
+        ComplexPolynomial(c.shift(h).coeffs * lam ** np.arange(c.coeffs.size))
+        for c in curve.components
+    ))
+    moved = ratio_or_none(reparam, t)
+    assume(moved is not None)
+    base = ratio_or_none(curve, Triple(*(lam * z + h for z in t)))
+    assume(base is not None)
+    assert_same(base, moved)

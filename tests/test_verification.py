@@ -176,3 +176,27 @@ class TestModulusComparability:
             if rhs > 0:
                 assert 0 < lhs / rhs < 10.0
                 done += 1
+
+
+class _FixedSamples:
+    """A region stand-in whose samples are given, duplicates included."""
+
+    region_id = "fixed"
+
+    def __init__(self, pts):
+        self.pts = np.asarray(pts, dtype=np.complex128)
+
+    def sample(self, n, rng):
+        assert n == self.pts.size
+        return self.pts.copy()
+
+
+def test_verify_region_excludes_coincident_triples(suite_reports):
+    # L3 = 12 on the moment curve, so only the coincident pairs are excluded
+    curve, tt, rep = suite_reports["moment"]
+    pts = [3, 3, 1j,  0, 1, 2j,  1j, 2, 1j,  5, 5, 5,  -1, 1 + 1j, 2]
+    report = verify_region(curve, _FixedSamples(pts), rep.regions[0].sigma, 5, seed=0)
+    assert report.excluded_count == 3
+    assert report.worst_witness.triple in (Triple(0j, 1 + 0j, 2j), Triple(-1 + 0j, 1 + 1j, 2 + 0j))
+    assert report.min_ratio == report.worst_witness.ratio
+    assert abs(report.min_ratio - 0.5) < 1e-12 and abs(report.max_ratio - 0.5) < 1e-12
