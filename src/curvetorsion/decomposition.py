@@ -41,6 +41,8 @@ from .geometry import (
     minimal_arc,
     point_in_polygon,
     polygon_area,
+    polygon_bbox,
+    sample_fan,
     sample_polygon,
     square_polygon,
 )
@@ -56,6 +58,11 @@ _REFINE_DEPTH_CAP = 48
 # Boundary points per region for the aperture and comparability measurements.
 _REFINE_SAMPLES = 400
 _COMPARABILITY_SAMPLES = 500
+# Polygon-to-bounding-box area ratio below which a region is sampled from
+# its triangle fan rather than by rejection.  Below 0.5, so that half-box
+# right triangles (ratio 0.4999999999999989 after rounding) keep their
+# rejection stream.
+FAN_CUTOFF = 0.45
 # Region count refinement never splits past: a level whose splits could
 # take the leaves beyond it is flagged instead.
 REGION_BUDGET = 20_000
@@ -194,10 +201,20 @@ class Region:
         return ok
 
     def sample(self, n: int, rng) -> np.ndarray:
-        if not self.sampling_polygon:
+        """n uniform points of the sampling polygon: by bounding-box
+        rejection when the polygon fills at least FAN_CUTOFF of its box,
+        else from its triangle fan.  A polygon without positive, finite
+        area takes the fan branch and raises EmptyRegion."""
+        poly = self.sampling_polygon
+        if not poly:
             raise EmptyRegion(f"region {self.region_id} has no sampling polygon")
+        re0, re1, im0, im1 = polygon_bbox(poly)
+        box = (re1 - re0) * (im1 - im0)
+        acceptance = polygon_area(poly) / box if box > 0.0 else math.nan
+        # Written so that a NaN acceptance takes the fan, which raises.
+        sampler = sample_fan if not acceptance >= FAN_CUTOFF else sample_polygon
         try:
-            return sample_polygon(self.sampling_polygon, n, rng)
+            return sampler(poly, n, rng)
         except RuntimeError as exc:
             raise EmptyRegion(f"region {self.region_id}: {exc}") from exc
 

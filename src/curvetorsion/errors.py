@@ -68,7 +68,7 @@ class DegenerateTriple(CurveTorsionError):
 
 
 class EmptyRegion(CurveTorsionError):
-    """Rejection sampling kept missing the region."""
+    """The region has no area to sample, or no usable sample."""
 
 
 class ZeroVolume(CurveTorsionError):

@@ -6,6 +6,8 @@ planes are (anchor, normal) pairs meaning Re(conj(normal) * (z - anchor)) >= 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -193,6 +195,41 @@ def sample_polygon(poly, n: int, rng):
         np.take(re, hits, out=out.real[got : got + hits.size])
         np.take(im, hits, out=out.imag[got : got + hits.size])
         got += hits.size
+    return out
+
+
+def sample_fan(poly, n: int, rng):
+    """Uniform points inside a convex polygon, drawn exactly from the fan of
+    triangles (v0, v[i], v[i+1]) by Turk's square-root map (G. Turk,
+    "Generating random points in triangles", Graphics Gems, 1990).
+
+    One ``rng.random(3 * n)`` draw: the first n values pick a triangle by
+    cumulative area, the other 2n map into it.  Nothing is rejected, so the
+    cost does not grow as the polygon thins.  Raises ``RuntimeError`` when
+    the polygon has no positive, finite area.
+    """
+    v = np.asarray(poly, dtype=np.complex128)
+    a = v[0]
+    e1 = v[1:-1] - a
+    e2 = v[2:] - a
+    # Rounding can make a near-collinear triangle's area slightly negative.
+    areas = np.maximum(e1.real * e2.imag - e1.imag * e2.real, 0.0)
+    cum = np.cumsum(areas)
+    total = float(cum[-1]) if cum.size else 0.0
+    if not 0.0 < total < math.inf:
+        raise RuntimeError("the polygon has no area to sample")
+    u = rng.random(3 * n)
+    pick = u[:n]
+    pick *= total
+    k = np.searchsorted(cum, pick, side="right")
+    np.minimum(k, cum.size - 1, out=k)
+    s = np.sqrt(u[n:2 * n])
+    t = u[2 * n:]
+    out = e1[k]
+    out *= 1.0 - t
+    out += t * e2[k]
+    out *= s
+    out += a
     return out
 
 

@@ -1,6 +1,7 @@
-"""Property tests of the real-arithmetic polygon sampler, of the
-Python-``complex`` half-plane clip and the polygon area, and of the
-Jacobian built from the curve's cached derivatives."""
+"""Property tests of the real-arithmetic rejection sampler and the
+triangle-fan sampler, of the Python-``complex`` half-plane clip and the
+polygon area, and of the Jacobian built from the curve's cached
+derivatives."""
 
 import math
 
@@ -11,6 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from curvetorsion.curves import CurveGamma
+from curvetorsion.decomposition import FAN_CUTOFF, Region
+from curvetorsion.errors import EmptyRegion
 from curvetorsion.geometry import (
     _edge_terms,
     _in_polygon_parts,
@@ -19,6 +22,7 @@ from curvetorsion.geometry import (
     point_in_polygon,
     polygon_area,
     polygon_bbox,
+    sample_fan,
     sample_polygon,
 )
 from curvetorsion.jacobian import (
@@ -85,6 +89,170 @@ def test_real_membership_matches_complex_on_edge_points(poly, spots):
                   for i, t in spots])
     got = _in_polygon_parts(z.real.copy(), z.imag.copy(), poly, _edge_terms(poly))
     assert np.array_equal(got, point_in_polygon(z, poly))
+
+
+def region_of(poly):
+    return Region(center=0j, theta_range=None, radial_range=(0.0, math.inf), halfplanes=(),
+                  sampling_polygon=tuple(poly), clipped=tuple(poly), parent_voronoi=0,
+                  region_id="test", unbounded=False, thickening=1.1)
+
+
+def acceptance(poly):
+    re0, re1, im0, im1 = polygon_bbox(poly)
+    return polygon_area(poly) / ((re1 - re0) * (im1 - im0))
+
+
+def seeded_polygon(rng, squeeze):
+    """A counterclockwise convex polygon of 3-12 vertices on an ellipse,
+    squeezed across a random direction by ``squeeze`` and rotated, so
+    that small ``squeeze`` gives a thin sliver in any orientation."""
+    m = int(rng.integers(3, 13))
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+    radius = 10.0 ** rng.uniform(-3.0, 3.0)
+    pts = radius * (np.cos(angles) + 1j * squeeze * np.sin(angles))
+    pts = pts * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    pts = pts + complex(*rng.uniform(-50.0, 50.0, 2))
+    return tuple(complex(v) for v in pts)
+
+
+def edge_slack(z, poly):
+    """Smallest signed distance of each point to the polygon's edge lines
+    (positive inside)."""
+    v = np.asarray(poly, dtype=np.complex128)
+    edges = np.roll(v, -1) - v
+    cross = ((np.conj(edges)[:, None] * (z[None, :] - v[:, None])).imag
+             / np.abs(edges)[:, None])
+    return cross.min(axis=0)
+
+
+SQUEEZES = [1.0, 0.3, 1e-2, 1e-4, 1e-7]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fan_samples_lie_inside_the_polygon(seed):
+    rng = np.random.default_rng(seed)
+    poly = seeded_polygon(rng, SQUEEZES[seed % len(SQUEEZES)])
+    z = sample_fan(poly, 2000, rng)
+    # Rounding of the map and of the distance, relative to the coordinates.
+    tol = 1e-13 * max(abs(v) for v in poly)
+    assert z.shape == (2000,)
+    assert edge_slack(z, poly).min() >= -tol
+
+
+def test_fan_draws_3n_uniforms_once():
+    poly = (0j, 1 + 0j, 2 + 1j, 1 + 3j, -1 + 1j)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    sample_fan(poly, 500, rng)
+    ref.random(1500)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def fan_triangle_index(z, poly):
+    """Index k of the fan triangle (v0, v[k+1], v[k+2]) holding each point:
+    the rays v0 -> v[j] turn counterclockwise, so k + 1 counts the rays
+    that the point lies to the left of."""
+    v = np.asarray(poly, dtype=np.complex128)
+    rays = v[1:] - v[0]
+    left = (np.conj(rays)[:, None] * (z[None, :] - v[0])).imag >= 0.0
+    return np.clip(left.sum(axis=0) - 1, 0, len(poly) - 3)
+
+
+def chi2_upper(df, z=3.719):
+    """Wilson-Hilferty approximation of the chi-square quantile at the
+    standard normal quantile z (3.719: upper tail 1e-4)."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fan_counts_follow_area_shares(seed):
+    rng = np.random.default_rng(100 + seed)
+    poly = seeded_polygon(rng, SQUEEZES[seed % len(SQUEEZES)])
+    while len(poly) < 5:
+        poly = seeded_polygon(rng, SQUEEZES[seed % len(SQUEEZES)])
+    n = 60_000
+    z = sample_fan(poly, n, rng)
+    v = np.asarray(poly, dtype=np.complex128)
+    e = v[1:] - v[0]
+    areas = (np.conj(e[:-1]) * e[1:]).imag
+    expected = n * areas / areas.sum()
+    counts = np.bincount(fan_triangle_index(z, poly), minlength=len(poly) - 2)
+    keep = expected > 5.0
+    stat = float(np.sum((counts[keep] - expected[keep]) ** 2 / expected[keep]))
+    assert stat < chi2_upper(max(int(keep.sum()) - 1, 1))
+    # Within each triangle the square-root map is uniform too: the sample
+    # mean sits at the centroid, within five standard errors a side.
+    centroid = np.sum(areas * (v[0] + v[1:-1] + v[2:]) / 3.0) / areas.sum()
+    for part in (np.real, np.imag):
+        err = part(z).std() / math.sqrt(n)
+        assert abs(part(z).mean() - part(centroid)) < 5.0 * err
+
+
+def diagonal_sliver(width):
+    """A parallelogram of length 1 and the given width along the diagonal,
+    whose bounding box is the unit square."""
+    d = width * complex(-1.0, 1.0) / math.sqrt(2.0)
+    return (0j, complex(0.5, 0.5), complex(0.5, 0.5) + d, d)
+
+
+def test_sliver_that_defeats_rejection_samples_exactly():
+    poly = diagonal_sliver(1e-12)
+    with pytest.raises(RuntimeError):
+        sample_polygon(poly, 10, np.random.default_rng(0))
+    z = region_of(poly).sample(3000, np.random.default_rng(0))
+    assert z.shape == (3000,)
+    assert edge_slack(z, poly).min() >= -1e-15
+
+
+@pytest.mark.parametrize("poly", [
+    (0j, 1 + 0j, 2 + 0j),
+    (0j, 1 + 1j, 2 + 2j, 1 + 1j),
+    (1 + 1j, 1 + 1j, 1 + 1j),
+    (0j, 1 + 0j),
+    (0j, complex(math.nan, 1.0), 1 + 1j),
+    (0j, complex(math.inf, 0.0), 1 + 1j),
+], ids=["collinear", "diagonal", "point", "two-vertices", "nan", "inf"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_polygon_without_area_raises_before_drawing(poly):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(EmptyRegion, match="no area"):
+        region_of(poly).sample(100, rng)
+    assert rng.bit_generator.state == state
+
+
+def right_triangles(rng, count):
+    for _ in range(count):
+        o = complex(*rng.uniform(-20.0, 20.0, 2))
+        w, h = 10.0 ** rng.uniform(-3.0, 2.0, 2)
+        corner = int(rng.integers(4))
+        box = [o, o + w, o + complex(w, h), o + 1j * h]
+        yield tuple(box[(corner + i) % 4] for i in range(4) if i != 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rejection_stream_kept_at_and_above_the_cutoff(seed):
+    rng = np.random.default_rng(200 + seed)
+    polys = list(right_triangles(rng, 10))
+    while len(polys) < 20:
+        poly = seeded_polygon(rng, 10.0 ** rng.uniform(-0.5, 0.0))
+        if acceptance(poly) >= FAN_CUTOFF:
+            polys.append(poly)
+    for poly in polys:
+        assert acceptance(poly) >= FAN_CUTOFF
+        n = int(rng.integers(1, 700))
+        got = region_of(poly).sample(n, np.random.default_rng(seed))
+        assert got.tobytes() == sample_polygon(poly, n, np.random.default_rng(seed)).tobytes()
+
+
+def test_pinned_z2z4_region_keeps_its_rejection_stream(suite_reports):
+    # Region 0 of z2z4 is a half-box right triangle up to rounding; both
+    # min-ratio pins sample it.
+    region = suite_reports["z2z4"][2].regions[0]
+    assert FAN_CUTOFF <= acceptance(region.sampling_polygon) < 0.5
+    got = region.sample(3000, np.random.default_rng(11))
+    want = sample_polygon(region.sampling_polygon, 3000, np.random.default_rng(11))
+    assert got.tobytes() == want.tobytes()
 
 
 def reference_clip(poly, anchor, normal):
