@@ -458,9 +458,11 @@ def _domain_window(b: complex, domain: Region | None, m: int, eps: float):
     return sorted({idx % m for idx in range(n0, n1 + 1)}), dmin, dmax
 
 
-def _d1_cells(Q, domain, ctx, id_prefix):
+def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
     """Cells of the root-geometry decomposition of the trimmed Q, clipped
-    to a domain."""
+    to a domain.  Q's roots are logged under ``log_key``; each cell's id is
+    ``id_prefix + log_key`` followed by its place in the decomposition."""
+    id_prefix += log_key
     eps = ctx.eps
     if Q.degree <= 0:
         # A constant only ever cuts the whole plane, into bare sectors.
@@ -480,7 +482,7 @@ def _d1_cells(Q, domain, ctx, id_prefix):
         return cells
 
     rs = ctx.root_sets[Q]
-    ctx.root_log[id_prefix] = {
+    ctx.root_log[log_key] = {
         "residual": rs.residual,
         "roots": [[complex(r).real, complex(r).imag, int(mu)] for r, mu in rs.roots],
     }
@@ -898,7 +900,9 @@ def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
     """
     for piece in _d2_cells(Q, b, domain, ctx, f"{name}:"):
         if piece.kind == "dyadic":
-            for cell in _d1_cells(Q, piece.region, ctx, f"{name}i:"):
+            # The piece's id keeps the cells of different pieces apart.
+            cells = _d1_cells(Q, piece.region, ctx, f"{name}i:", f"{piece.region.region_id}|")
+            for cell in cells:
                 yield cell.region, Comparability(cell.center, cell.exponent, cell.constant), True
         else:
             comp = Comparability(b, piece.exponent, piece.constant)

@@ -293,6 +293,33 @@ class TestReplay:
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["match"] is True
 
+    def test_replay_finds_a_region_whose_id_used_to_collide(self, tmp_path, curve_mixed):
+        # The D1 cells of every dyadic piece used to be named from the cell
+        # alone ("L2i:v0.s4.l0"), so replay found the first piece's region.
+        curve_file = write_curve(tmp_path, curve_mixed)
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["analyze", str(curve_file), "--seed", "7", "--samples", "3",
+                                   "--eps", str(2 * math.pi / 28), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        entries = json.loads((out / "verification.json").read_text())["reports"]
+
+        def old_id(rid):
+            return rid[max(rid.rfind("L1i:"), rid.rfind("L2i:"), 0):]
+
+        first = {}
+        for entry in entries:
+            first.setdefault(old_id(entry["region_id"]), entry)
+        entry = next(e for e in entries
+                     if first[old_id(e["region_id"])] is not e
+                     and "i:" in e["region_id"]
+                     and first[old_id(e["region_id"])]["min_ratio"] != e["min_ratio"])
+        res = RUNNER.invoke(main, ["replay", str(out / "verification.json"),
+                                   "--region-id", entry["region_id"]])
+        assert res.exit_code == 0, res.output
+        result = json.loads(res.output)
+        assert result["match"] is True
+        assert result["stored_ratio"] == entry["worst_witness"]["ratio"]
+
 
 class TestSvg:
     def test_one_path_per_region(self, suite_reports):

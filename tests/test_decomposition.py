@@ -251,6 +251,15 @@ class TestClassify:
         with pytest.raises(DegenerateTorsion):
             classify_regions(torsion_triple(curve))
 
+    def test_region_ids_unique(self, suite_reports):
+        # The D1 cells of each dyadic piece carry the piece's id, so cells
+        # of different pieces at the same vertex, sector and layer differ.
+        for name, (_, _, rep) in suite_reports.items():
+            ids = [r.region_id for r in rep.regions]
+            assert len(set(ids)) == len(ids), name
+            # Roots stay logged once per polynomial role, not per piece.
+            assert not any("|" in key for key in rep.root_info), name
+
     def test_region_budget_and_count(self, suite_reports):
         for name, (_, _, rep) in suite_reports.items():
             assert rep.region_count <= decomposition.REGION_BUDGET
