@@ -222,6 +222,7 @@ def sample_fan(poly, n: int, rng):
     pick = u[:n]
     pick *= total
     k = np.searchsorted(cum, pick, side="right")
+    # u * total can round up to total itself.
     np.minimum(k, cum.size - 1, out=k)
     s = np.sqrt(u[n:2 * n])
     t = u[2 * n:]

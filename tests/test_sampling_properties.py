@@ -103,9 +103,9 @@ def acceptance(poly):
 
 
 def seeded_polygon(rng, squeeze):
-    """A counterclockwise convex polygon of 3-12 vertices on an ellipse,
-    squeezed across a random direction by ``squeeze`` and rotated, so
-    that small ``squeeze`` gives a thin sliver in any orientation."""
+    """A counterclockwise convex polygon of 3-12 vertices on an ellipse
+    whose axes are in the ratio ``squeeze``, turned by a random angle, so
+    that a small ``squeeze`` gives a thin sliver in any orientation."""
     m = int(rng.integers(3, 13))
     angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
     radius = 10.0 ** rng.uniform(-3.0, 3.0)
