@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -155,6 +156,7 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory):
         report = classify_regions(curve.torsion, eps=eps, seed=seed)
     entries = []
     skipped = []
+    failed = 0
     for idx, region in enumerate(report.regions):
         region_seed = int(
             np.random.default_rng([seed & 0x7FFFFFFF, idx]).integers(0, 2**31 - 1)
@@ -162,6 +164,7 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory):
         if admissible(region.sigma) or exploratory:
             rep = verify_region(curve, region, region.sigma, samples, region_seed,
                                 exploratory=not admissible(region.sigma))
+            failed += not rep.exploratory and not 0.0 < rep.min_ratio < math.inf
             entries.append(rep.to_json())
         else:
             skipped.append({"region_id": region.region_id,
@@ -173,8 +176,15 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory):
         "verification.json": reports.verification_json(curve_json, entries, skipped, seed),
         "regions.svg": reports.svg_region_map(report),
     }
-    return (files, f"regions={report.region_count} verified={len(entries)} "
-            f"skipped={len(skipped)}", True)
+    # A flagged region is over its aperture budget, so the bound was not
+    # verified on a region of the decomposition it assumes.
+    flagged = sum(region.sector_flag for region in report.regions)
+    ok = not failed and not flagged
+    summary = (f"regions={report.region_count} verified={len(entries)} "
+               f"skipped={len(skipped)}")
+    if not ok:
+        summary += f" failed={failed} flagged={flagged}"
+    return files, summary, ok
 
 
 @main.command("jacobian-check")

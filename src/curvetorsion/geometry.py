@@ -107,54 +107,6 @@ def point_in_polygon(z, poly, tol: float = 0.0):
     return inside
 
 
-def _edge_terms(poly):
-    """(a.real, a.imag, w.real, w.imag) of each edge a -> b of a polygon,
-    with w = conj(1j * (b - a)): ``point_in_polygon``'s edge test is
-    Re((z - a) * w) >= 0."""
-    n = len(poly)
-    terms = []
-    for i in range(n):
-        a = poly[i]
-        w = np.conj(1j * (poly[(i + 1) % n] - a))
-        terms.append((float(a.real), float(a.imag), float(w.real), float(w.imag)))
-    return terms
-
-
-def _in_polygon_parts(re, im, poly, terms):
-    """``point_in_polygon(re + 1j * im, poly)`` in real arithmetic, with
-    ``terms`` from ``_edge_terms(poly)``.
-
-    Each edge value (re - a.real) * w.real - (im - a.imag) * w.imag has
-    the sign of Re((z - a) * w) wherever it is nonzero, whether numpy
-    rounds that complex product's real part once (fused) or twice.  Points
-    whose smallest edge value is exactly 0 are tested again with the
-    complex product.
-    """
-    low = None
-    for ar, ai, wr, wi in terms:
-        value = re - ar
-        value *= wr
-        term = im - ai
-        term *= wi
-        value -= term
-        low = value if low is None else np.minimum(low, value, out=low)
-    inside = low > 0.0
-    tie = np.flatnonzero(low == 0.0)
-    if tie.size:
-        inside[tie] = point_in_polygon(re[tie] + 1j * im[tie], poly)
-    return inside
-
-
-def polygon_bbox(poly):
-    v = np.asarray(poly, dtype=np.complex128)
-    return (
-        float(v.real.min()),
-        float(v.real.max()),
-        float(v.imag.min()),
-        float(v.imag.max()),
-    )
-
-
 def square_polygon(center: complex, half_width: float):
     c = complex(center)
     h = float(half_width)
@@ -164,38 +116,6 @@ def square_polygon(center: complex, half_width: float):
         c + complex(h, h),
         c + complex(-h, h),
     )
-
-
-_MAX_CONSECUTIVE_MISSES = 100_000
-
-
-def sample_polygon(poly, n: int, rng):
-    """Uniform points inside a convex polygon by bounding-box rejection.
-
-    Raises ``RuntimeError`` after ``_MAX_CONSECUTIVE_MISSES`` straight misses;
-    callers translate this into their own empty-domain error.
-    """
-    re0, re1, im0, im1 = polygon_bbox(poly)
-    terms = _edge_terms(poly)
-    out = np.empty(n, dtype=np.complex128)
-    got = 0
-    misses = 0
-    while got < n:
-        batch = max(256, 2 * (n - got))
-        re = rng.uniform(re0, re1, batch)
-        im = rng.uniform(im0, im1, batch)
-        hits = np.flatnonzero(_in_polygon_parts(re, im, poly, terms))
-        if hits.size == 0:
-            misses += batch
-            if misses >= _MAX_CONSECUTIVE_MISSES:
-                raise RuntimeError("rejection sampling kept missing the polygon")
-            continue
-        misses = 0
-        hits = hits[: n - got]
-        np.take(re, hits, out=out.real[got : got + hits.size])
-        np.take(im, hits, out=out.imag[got : got + hits.size])
-        got += hits.size
-    return out
 
 
 def sample_fan(poly, n: int, rng):

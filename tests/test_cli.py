@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from conftest import poly, validate
 pytestmark = pytest.mark.usefixtures("moment_curve")
 
 RUNNER = CliRunner()
+ANALYZE_FILES = ["decomposition.json", "regions.svg", "verification.json"]
 
 
 def write_curve(tmp_path, curve, name="curve.json"):
@@ -369,6 +371,33 @@ class TestOutputStep:
         assert res.output == "regions=56 verified=56 skipped=0\n"
         assert len(refined) == 1
         assert measured == [56]
+
+    def test_flagged_regions_fail_analyze(self, tmp_path, monkeypatch, curve_mixed):
+        # The walk alone passes a budget of 300, so refinement flags every
+        # over-budget region of its first level.
+        monkeypatch.setattr(decomposition, "REGION_BUDGET", 300)
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["analyze", str(write_curve(tmp_path, curve_mixed)),
+                                   "--seed", "7", "--samples", "10", "--out", str(out)])
+        assert res.exit_code == cli.EXIT_VERIFICATION, res.output
+        assert res.output == "regions=2792 verified=2792 skipped=0 failed=0 flagged=240\n"
+        assert sorted(p.name for p in out.iterdir()) == ANALYZE_FILES
+
+    def test_non_positive_ratio_fails_analyze(self, tmp_path, monkeypatch, moment_curve):
+        real = cli.verify_region
+
+        def vanishing(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), min_ratio=0.0)
+
+        monkeypatch.setattr(cli, "verify_region", vanishing)
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["analyze", str(write_curve(tmp_path, moment_curve)),
+                                   "--seed", "7", "--samples", "10", "--out", str(out)])
+        assert res.exit_code == cli.EXIT_VERIFICATION, res.output
+        assert res.output == "regions=1 verified=1 skipped=0 failed=1 flagged=0\n"
+        assert sorted(p.name for p in out.iterdir()) == ANALYZE_FILES
+        entry = json.loads((out / "verification.json").read_text())["reports"][0]
+        assert entry["min_ratio"] == 0.0
 
     @pytest.mark.parametrize("command,target", [
         (["analyze", "--samples", "10"], "verify_region"),

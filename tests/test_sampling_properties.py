@@ -1,7 +1,6 @@
-"""Property tests of the real-arithmetic rejection sampler and the
-triangle-fan sampler, of the Python-``complex`` half-plane clip and the
-polygon area, and of the Jacobian built from the curve's cached
-derivatives."""
+"""Property tests of the triangle-fan region sampler, of the
+Python-``complex`` half-plane clip and the polygon area, and of the
+Jacobian built from the curve's cached derivatives."""
 
 import math
 
@@ -12,18 +11,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from curvetorsion.curves import CurveGamma
-from curvetorsion.decomposition import FAN_CUTOFF, Region
+from curvetorsion.decomposition import Region
 from curvetorsion.errors import EmptyRegion
 from curvetorsion.geometry import (
-    _edge_terms,
-    _in_polygon_parts,
     clip_halfplane,
     halfplane_value,
-    point_in_polygon,
     polygon_area,
-    polygon_bbox,
     sample_fan,
-    sample_polygon,
 )
 from curvetorsion.jacobian import (
     Triple,
@@ -34,23 +28,6 @@ from curvetorsion.jacobian import (
 )
 from curvetorsion.polynomials import ComplexPolynomial
 from curvetorsion.verification import _bound_values, _interleaved_values
-
-
-def reference_sample(poly, n, rng):
-    """The rejection loop with complex membership tests."""
-    re0, re1, im0, im1 = polygon_bbox(poly)
-    out = np.empty(n, dtype=np.complex128)
-    got = 0
-    while got < n:
-        batch = max(256, 2 * (n - got))
-        re = rng.uniform(re0, re1, batch)
-        im = rng.uniform(im0, im1, batch)
-        z = re + 1j * im
-        hits = z[point_in_polygon(z, poly)]
-        take = min(hits.size, n - got)
-        out[got:got + take] = hits[:take]
-        got += take
-    return out
 
 
 @st.composite
@@ -71,35 +48,10 @@ def convex_polygons(draw, min_size=3, max_size=8):
     return tuple(poly)
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(poly=convex_polygons(), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
-def test_sample_polygon_matches_complex_rejection_loop(poly, n, seed):
-    got = sample_polygon(poly, n, np.random.default_rng(seed))
-    assert got.tobytes() == reference_sample(poly, n, np.random.default_rng(seed)).tobytes()
-
-
-@settings(max_examples=150, deadline=None, database=None)
-@given(poly=convex_polygons(),
-       spots=st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 1.0)), min_size=1, max_size=60))
-def test_real_membership_matches_complex_on_edge_points(poly, spots):
-    # Points interpolated along the edges sit within roundoff of them, where
-    # a fused and a twice-rounded edge value can differ in sign; about a
-    # fifth of them take the exact-zero path.
-    z = np.array([poly[i % len(poly)] + t * (poly[(i + 1) % len(poly)] - poly[i % len(poly)])
-                  for i, t in spots])
-    got = _in_polygon_parts(z.real.copy(), z.imag.copy(), poly, _edge_terms(poly))
-    assert np.array_equal(got, point_in_polygon(z, poly))
-
-
 def region_of(poly):
     return Region(center=0j, theta_range=None, radial_range=(0.0, math.inf), halfplanes=(),
                   sampling_polygon=tuple(poly), clipped=tuple(poly), parent_voronoi=0,
                   region_id="test", unbounded=False, thickening=1.1)
-
-
-def acceptance(poly):
-    re0, re1, im0, im1 = polygon_bbox(poly)
-    return polygon_area(poly) / ((re1 - re0) * (im1 - im0))
 
 
 def seeded_polygon(rng, squeeze):
@@ -139,12 +91,31 @@ def test_fan_samples_lie_inside_the_polygon(seed):
     assert edge_slack(z, poly).min() >= -tol
 
 
-def test_fan_draws_3n_uniforms_once():
-    poly = (0j, 1 + 0j, 2 + 1j, 1 + 3j, -1 + 1j)
-    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    sample_fan(poly, 500, rng)
-    ref.random(1500)
-    assert rng.bit_generator.state == ref.bit_generator.state
+def diagonal_sliver(width):
+    """A parallelogram of the given width along the diagonal from 0 to
+    0.5 + 0.5j; it fills about 2.8 * width of its bounding box."""
+    d = width * complex(-1.0, 1.0) / math.sqrt(2.0)
+    return (0j, complex(0.5, 0.5), complex(0.5, 0.5) + d, d)
+
+
+def test_fan_draws_3n_uniforms_once(suite_reports):
+    # Region.sample is sample_fan for every shape: a general pentagon, a
+    # half-box right triangle, z2z4's region 0 (the polygon that both
+    # min-ratio pins sample) and a 1e-12-wide diagonal sliver.
+    polys = [
+        (0j, 1 + 0j, 2 + 1j, 1 + 3j, -1 + 1j),
+        (0j, 2 + 0j, 0.5j),
+        suite_reports["z2z4"][2].regions[0].sampling_polygon,
+        diagonal_sliver(1e-12),
+    ]
+    for poly in polys:
+        fan_rng, region_rng, ref = (np.random.default_rng(3) for _ in range(3))
+        want = sample_fan(poly, 500, fan_rng)
+        got = region_of(poly).sample(500, region_rng)
+        ref.random(1500)
+        assert got.tobytes() == want.tobytes()
+        assert fan_rng.bit_generator.state == ref.bit_generator.state
+        assert region_rng.bit_generator.state == ref.bit_generator.state
 
 
 def fan_triangle_index(z, poly):
@@ -188,17 +159,10 @@ def test_fan_counts_follow_area_shares(seed):
         assert abs(part(z).mean() - part(centroid)) < 5.0 * err
 
 
-def diagonal_sliver(width):
-    """A parallelogram of length 1 and the given width along the diagonal,
-    whose bounding box is the unit square."""
-    d = width * complex(-1.0, 1.0) / math.sqrt(2.0)
-    return (0j, complex(0.5, 0.5), complex(0.5, 0.5) + d, d)
-
-
 def test_sliver_that_defeats_rejection_samples_exactly():
+    # A point drawn from the bounding box would land in it about once in
+    # 3.5e11 tries.
     poly = diagonal_sliver(1e-12)
-    with pytest.raises(RuntimeError):
-        sample_polygon(poly, 10, np.random.default_rng(0))
     z = region_of(poly).sample(3000, np.random.default_rng(0))
     assert z.shape == (3000,)
     assert edge_slack(z, poly).min() >= -1e-15
@@ -219,40 +183,6 @@ def test_polygon_without_area_raises_before_drawing(poly):
     with pytest.raises(EmptyRegion, match="no area"):
         region_of(poly).sample(100, rng)
     assert rng.bit_generator.state == state
-
-
-def right_triangles(rng, count):
-    for _ in range(count):
-        o = complex(*rng.uniform(-20.0, 20.0, 2))
-        w, h = 10.0 ** rng.uniform(-3.0, 2.0, 2)
-        corner = int(rng.integers(4))
-        box = [o, o + w, o + complex(w, h), o + 1j * h]
-        yield tuple(box[(corner + i) % 4] for i in range(4) if i != 2)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_rejection_stream_kept_at_and_above_the_cutoff(seed):
-    rng = np.random.default_rng(200 + seed)
-    polys = list(right_triangles(rng, 10))
-    while len(polys) < 20:
-        poly = seeded_polygon(rng, 10.0 ** rng.uniform(-0.5, 0.0))
-        if acceptance(poly) >= FAN_CUTOFF:
-            polys.append(poly)
-    for poly in polys:
-        assert acceptance(poly) >= FAN_CUTOFF
-        n = int(rng.integers(1, 700))
-        got = region_of(poly).sample(n, np.random.default_rng(seed))
-        assert got.tobytes() == sample_polygon(poly, n, np.random.default_rng(seed)).tobytes()
-
-
-def test_pinned_z2z4_region_keeps_its_rejection_stream(suite_reports):
-    # Region 0 of z2z4 is a half-box right triangle up to rounding; both
-    # min-ratio pins sample it.
-    region = suite_reports["z2z4"][2].regions[0]
-    assert FAN_CUTOFF <= acceptance(region.sampling_polygon) < 0.5
-    got = region.sample(3000, np.random.default_rng(11))
-    want = sample_polygon(region.sampling_polygon, 3000, np.random.default_rng(11))
-    assert got.tobytes() == want.tobytes()
 
 
 def reference_clip(poly, anchor, normal):

@@ -113,7 +113,7 @@ class TestVerifyRegion:
         seed = int(np.random.default_rng([4, 0]).integers(2**31))
         report = verify_region(curve, region, region.sigma, 10000, seed, tt=tt)
         assert report.min_ratio > 0
-        assert abs(report.min_ratio - 0.4995093632382041) < 1e-9
+        assert abs(report.min_ratio - 0.49950644518007264) < 1e-9
         assert report.worst_witness.ratio == report.min_ratio
 
     def test_inadmissible_refused_without_flag(self, suite_reports):
