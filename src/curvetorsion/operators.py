@@ -9,6 +9,13 @@ points: ``extension`` passes one point, and ``norm_ratio_scan`` evaluates
 each (function, dilation) once over its whole grid.  The kernel works
 through the batch in chunks, and its values do not depend on the chunk size.
 
+The Monte Carlo estimators ``convolve`` and ``pairing`` draw their random
+arrays whole, in a fixed order, and then build every per-sample value (the
+point z of F, the disk point w, Gamma(w), z - Gamma(w), lambda(w) and the
+membership test) _CHUNK_SAMPLES rows at a time into one samples array.  The
+mean and the standard error are taken over that whole array, so memory is
+bounded per sample and the estimates do not depend on the chunk size.
+
 The frequency pairing z . Gamma(w) is the real inner product of C^3 read as
 R^6: sum_j Re(z_j) Re(Gamma_j) + Im(z_j) Im(Gamma_j).  This convention is
 fixed here and used everywhere.
@@ -30,6 +37,10 @@ _BALL6_UNIT_VOLUME = math.pi**3 / 6.0
 # Points per chunk of the extension kernel: at the CLI default n_quad = 16
 # (512 polar nodes) one complex (points x nodes) temporary is 1 MB.
 _CHUNK_POINTS = 128
+
+# Rows per slice of the Monte Carlo estimators: one complex (rows x 3)
+# temporary such as z - Gamma(w) is 3 MB.
+_CHUNK_SAMPLES = 65_536
 
 _EXTENSION_REL_TOL = 1e-6
 
@@ -68,14 +79,26 @@ class MeasurableSet:
         return np.max(np.abs(coords), axis=-1) <= self.size
 
     def sample(self, n: int, rng) -> np.ndarray:
-        center = np.asarray(self.center, dtype=np.complex128)
+        """(n, 3) complex points uniform in the set."""
+        return self.place(*self.draw(n, rng))
+
+    def draw(self, n: int, rng) -> tuple:
+        """The random arrays behind n points, each with n rows.
+
+        A box draws an (n, 6) block of uniform coordinates; a ball draws an
+        (n, 6) block of normals, then n uniforms for the radii.
+        """
         if self.kind == "box":
-            coords = rng.uniform(-self.size, self.size, size=(n, 6))
-        else:
-            g = rng.standard_normal((n, 6))
-            norm = np.linalg.norm(g, axis=1, keepdims=True)
-            radii = self.size * rng.random(n) ** (1.0 / 6.0)
-            coords = g / norm * radii[:, None]
+            return (rng.uniform(-self.size, self.size, size=(n, 6)),)
+        return rng.standard_normal((n, 6)), rng.random(n)
+
+    def place(self, coords, u=None) -> np.ndarray:
+        """Map rows of ``draw``'s arrays to points of the set, row by row."""
+        center = np.asarray(self.center, dtype=np.complex128)
+        if self.kind == "ball":
+            norm = np.linalg.norm(coords, axis=1, keepdims=True)
+            radii = self.size * u ** (1.0 / 6.0)
+            coords = coords / norm * radii[:, None]
         return center + coords[:, :3] + 1j * coords[:, 3:]
 
     def translate(self, v) -> "MeasurableSet":
@@ -172,10 +195,15 @@ def ball_measure_check(spec: BallSpec):
     return sigma, spec.x / 8.0
 
 
-def _disk_samples(n: int, radius: float, rng) -> np.ndarray:
+def _disk_polar(n: int, radius: float, rng) -> tuple:
+    """Polar coordinates (r, theta) of n uniform points of the disk."""
     r = radius * np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
-    return r * np.exp(1j * theta)
+    return r, theta
+
+
+def _row_slices(n: int):
+    return (slice(start, start + _CHUNK_SAMPLES) for start in range(0, n, _CHUNK_SAMPLES))
 
 
 def _complex_stderr(samples: np.ndarray, scale: float) -> float:
@@ -196,25 +224,61 @@ def _complex_stderr(samples: np.ndarray, scale: float) -> float:
     return scale * math.sqrt(var / n)
 
 
+def _convolve_samples(curve: CurveGamma, f, z, disk_radius: float, n: int,
+                      rng) -> np.ndarray:
+    """f(z - Gamma(w)) lambda(w) at n uniform points w of the disk.
+
+    The disk's r and theta are drawn whole; every other array is built one
+    _CHUNK_SAMPLES-row slice at a time.
+    """
+    r, theta = _disk_polar(n, disk_radius, rng)
+    z = np.asarray(z, dtype=np.complex128).reshape(1, 3)
+    samples = None
+    for s in _row_slices(n):
+        w = r[s] * np.exp(1j * theta[s])
+        values = np.asarray(f(z - curve(w))) * lambda_weight(curve.torsion, w)
+        if samples is None:
+            samples = np.empty(n, dtype=values.dtype)
+        samples[s] = values
+    return samples
+
+
 def convolve(curve: CurveGamma, f, z, disk_radius: float, n_mc: int, seed: int):
     """Monte Carlo estimate of the weighted convolution at one point.
 
-    ``f`` must accept an (n, 3) complex array and return (n,) values.
-    Returns (value, stderr); the estimate is area(D) times the sample mean
-    of f(z - Gamma(w)) lambda(w) over w uniform in the disk, and stderr is
-    area(D) times the shifted two-pass sample standard error of that mean,
-    exactly 0 when all samples are equal.
+    ``f`` must accept an (n, 3) complex array and return (n,) values, each
+    depending on its own row only, because it is called on slices of the
+    samples.  Returns (value, stderr); the estimate is area(D) times the
+    sample mean of f(z - Gamma(w)) lambda(w) over w uniform in the disk, and
+    stderr is area(D) times the shifted two-pass sample standard error of
+    that mean, exactly 0 when all samples are equal.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     rng = np.random.default_rng(seed)
-    w = _disk_samples(n_mc, disk_radius, rng)
-    weights = lambda_weight(curve.torsion, w)
-    pts = np.asarray(z, dtype=np.complex128).reshape(1, 3) - curve(w)
-    samples = np.asarray(f(pts)) * weights
+    samples = _convolve_samples(curve, f, z, disk_radius, n_mc, rng)
     area = math.pi * disk_radius**2
     value = complex(area * samples.mean())
     return value, _complex_stderr(samples, area)
+
+
+def _pairing_samples(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
+                     disk_radius: float, n: int, rng) -> np.ndarray:
+    """lambda(w) where z - Gamma(w) lies in E, else 0, for n pairs (z, w).
+
+    z is uniform in F and w uniform in the disk.  F's arrays, then the
+    disk's r and theta, are drawn whole; the points, Gamma, lambda and the
+    membership test are built one _CHUNK_SAMPLES-row slice at a time.
+    """
+    f_draw = F.draw(n, rng)
+    r, theta = _disk_polar(n, disk_radius, rng)
+    samples = np.empty(n)
+    for s in _row_slices(n):
+        z = F.place(*(a[s] for a in f_draw))
+        w = r[s] * np.exp(1j * theta[s])
+        inside = E.contains(z - curve(w))
+        samples[s] = np.where(inside, lambda_weight(curve.torsion, w), 0.0)
+    return samples
 
 
 def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
@@ -232,11 +296,7 @@ def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     rng = np.random.default_rng(seed)
-    z = F.sample(n_mc, rng)
-    w = _disk_samples(n_mc, disk_radius, rng)
-    weights = lambda_weight(curve.torsion, w)
-    inside = E.contains(z - curve(w))
-    samples = np.where(inside, weights, 0.0)
+    samples = _pairing_samples(curve, E, F, disk_radius, n_mc, rng)
     scale = F.volume * math.pi * disk_radius**2
     est = float(scale * samples.mean())
     stderr = _complex_stderr(samples.astype(np.complex128), scale)

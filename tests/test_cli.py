@@ -227,6 +227,21 @@ class TestOperatorCommands:
         assert rep["pairing"] == pytest.approx(rep["beta"] * rep["volume_e"])
         validate(payload, "weaktype.schema.json")
 
+    @pytest.mark.parametrize("f_kind,pins", [
+        ("ball", ("0x1.4a2e6f3d2791ap+3", "0x1.30e57d771c474p-5")),
+        ("box", ("0x1.92a5fe00778eep+4", "0x1.df39883e9f946p-3")),
+    ])
+    def test_pairing_regression_pin(self, tmp_path, moment_curve, f_kind, pins):
+        curve_file = write_curve(tmp_path, moment_curve)
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["operator", "pairing", str(curve_file), "--seed", "7",
+                                   "--n-mc", "200000", "--f-kind", f_kind,
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rep = json.loads((out / "weaktype.json").read_text())["report"]
+        assert rep["pairing"] == float.fromhex(pins[0])
+        assert rep["mc_stderr"] == float.fromhex(pins[1])
+
     def test_scan_csv_rows(self, tmp_path, moment_curve):
         curve_file = write_curve(tmp_path, moment_curve)
         res = RUNNER.invoke(main, ["operator", "scan", str(curve_file),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from curvetorsion import (
 )
 from curvetorsion import operators
 from curvetorsion.cli import _scan_family
-from curvetorsion.curves import CurveGamma
+from curvetorsion.curves import CurveGamma, lambda_weight
 from curvetorsion.operators import _complex_stderr, _extension_values
 
 from conftest import poly
@@ -133,6 +134,98 @@ class TestPairing:
     def test_zero_volume_rejected(self, moment_curve):
         with pytest.raises((ZeroVolume, ValueError)):
             MeasurableSet(kind="ball", center=(0, 0, 0), size=0.0)
+
+
+def _reference_sample(S, n, rng):
+    """MeasurableSet.sample as one whole-array pass, before its draw/place split."""
+    center = np.asarray(S.center, dtype=np.complex128)
+    if S.kind == "box":
+        coords = rng.uniform(-S.size, S.size, size=(n, 6))
+    else:
+        g = rng.standard_normal((n, 6))
+        norm = np.linalg.norm(g, axis=1, keepdims=True)
+        radii = S.size * rng.random(n) ** (1.0 / 6.0)
+        coords = g / norm * radii[:, None]
+    return center + coords[:, :3] + 1j * coords[:, 3:]
+
+
+def _reference_disk(n, radius, rng):
+    r = radius * np.sqrt(rng.random(n))
+    theta = 2.0 * math.pi * rng.random(n)
+    return r * np.exp(1j * theta)
+
+
+class TestMonteCarloChunks:
+    """The estimators build their samples in row slices of any size with the same bytes."""
+
+    N_MC = 2003  # a multiple of neither 7 nor the default slice
+    CHUNKS = (1, 7, operators._CHUNK_SAMPLES)
+
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_sample_matches_reference(self, kind):
+        S = MeasurableSet(kind=kind, center=(1, 1j, 0), size=1.5)
+        for n in (1, self.N_MC):
+            got = S.sample(n, np.random.default_rng(4))
+            assert got.tobytes() == _reference_sample(S, n, np.random.default_rng(4)).tobytes()
+
+    @pytest.mark.parametrize("seed", [5, 11, 12])
+    @pytest.mark.parametrize("f_kind", ["ball", "box"])
+    @pytest.mark.parametrize("e_kind", ["ball", "box"])
+    def test_pairing_chunk_size_invariant(self, moment_curve, monkeypatch, e_kind, f_kind,
+                                          seed):
+        E = MeasurableSet(kind=e_kind, center=(0.1, 0.2j, 0), size=1.0)
+        F = MeasurableSet(kind=f_kind, center=(0, 0.3, 0.1j), size=0.8)
+        rng = np.random.default_rng(seed)
+        z = _reference_sample(F, self.N_MC, rng)
+        w = _reference_disk(self.N_MC, 1.0, rng)
+        reference = np.where(E.contains(z - moment_curve(w)),
+                             lambda_weight(moment_curve.torsion, w), 0.0)
+        assert 0 < np.count_nonzero(reference) < self.N_MC
+        reports = set()
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(operators, "_CHUNK_SAMPLES", chunk)
+            samples = operators._pairing_samples(moment_curve, E, F, 1.0, self.N_MC,
+                                                 np.random.default_rng(seed))
+            assert samples.tobytes() == reference.tobytes()
+            rep = pairing(moment_curve, E, F, 1.0, self.N_MC, seed)
+            reports.add(tuple(float(v).hex() for v in vars(rep).values()))
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("seed", [5, 11, 12])
+    def test_convolve_chunk_size_invariant(self, moment_curve, monkeypatch, seed):
+        f = lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1)) * (1 + pts[:, 0])
+        z = np.array([0.1, 0.2, 0.3j]).reshape(1, 3)
+        w = _reference_disk(self.N_MC, 1.3, np.random.default_rng(seed))
+        reference = f(z - moment_curve(w)) * lambda_weight(moment_curve.torsion, w)
+        results = set()
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(operators, "_CHUNK_SAMPLES", chunk)
+            samples = operators._convolve_samples(moment_curve, f, z, 1.3, self.N_MC,
+                                                  np.random.default_rng(seed))
+            assert samples.dtype == reference.dtype
+            assert samples.tobytes() == reference.tobytes()
+            value, stderr = convolve(moment_curve, f, z, 1.3, self.N_MC, seed)
+            results.add((value.real.hex(), value.imag.hex(), stderr.hex()))
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("f_kind", ["ball", "box"])
+    def test_pairing_memory_per_sample(self, moment_curve, monkeypatch, f_kind):
+        # The whole draws (F's (n, 6) block, a ball's radii, the disk's r and
+        # theta) and the samples hold 80 B per sample for a ball F; evaluating
+        # every step at full length held about 200.  Small slices keep the
+        # slice temporaries out of the count.
+        monkeypatch.setattr(operators, "_CHUNK_SAMPLES", 4096)
+        n = 200_000
+        E = MeasurableSet(kind="ball", center=(0, 0, 0), size=1.0)
+        F = MeasurableSet(kind=f_kind, center=(0, 0, 0), size=1.0)
+        pairing(moment_curve, E, F, 1.0, 10, seed=0)
+        tracemalloc.start()
+        try:
+            pairing(moment_curve, E, F, 1.0, n, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 120
 
 
 class TestBallMeasure:
