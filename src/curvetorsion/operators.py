@@ -93,7 +93,11 @@ class MeasurableSet:
         return rng.standard_normal((n, 6)), rng.random(n)
 
     def place(self, coords, u=None) -> np.ndarray:
-        """Map rows of ``draw``'s arrays to points of the set, row by row."""
+        """Points of the set from rows of ``draw``'s arrays.
+
+        Each output row depends only on the same row of ``coords`` and
+        ``u`` (a ball's uniforms), so slices of the draws map on their own.
+        """
         center = np.asarray(self.center, dtype=np.complex128)
         if self.kind == "ball":
             norm = np.linalg.norm(coords, axis=1, keepdims=True)
@@ -203,6 +207,7 @@ def _disk_polar(n: int, radius: float, rng) -> tuple:
 
 
 def _row_slices(n: int):
+    """Consecutive _CHUNK_SAMPLES-row slices covering n rows."""
     return (slice(start, start + _CHUNK_SAMPLES) for start in range(0, n, _CHUNK_SAMPLES))
 
 
