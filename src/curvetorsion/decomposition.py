@@ -394,6 +394,11 @@ def _merge_distances(pairs):
     return merged
 
 
+def _far_constant(lead_abs: float, far) -> float:
+    """|lead| times each far root's distance to the power of its multiplicity."""
+    return math.prod((d**m for d, m in far), start=lead_abs)
+
+
 def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
     """Layers (r_lo, r_hi], exponent, constant around root j.
 
@@ -410,10 +415,7 @@ def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
     lo = 0.0
     for idx in range(len(merged) + 1):
         hi = merged[idx][0] / 2.0 if idx < len(merged) else math.inf
-        c = lead_abs
-        for dist, mult in merged[idx:]:
-            c *= dist**mult
-        layers.append((lo, hi, k, c))
+        layers.append((lo, hi, k, _far_constant(lead_abs, merged[idx:])))
         if idx < len(merged):
             k += merged[idx][1]
             lo = hi
@@ -553,23 +555,17 @@ def _radial_structure(Q, b, ctx):
     inside = m0
     edge = 0.0
 
-    def gap_constant():
-        c = lead_abs
-        for rho, mu in far:
-            c *= rho**mu
-        return c
-
     for lo_r, hi_r, cm in chains:
         gap_hi = lo_r / A
         if gap_hi > edge:
-            intervals.append((edge, gap_hi, "gap", inside, gap_constant()))
+            intervals.append((edge, gap_hi, "gap", inside, _far_constant(lead_abs, far)))
         intervals.append((max(edge, lo_r / A), hi_r * A, "dyadic", 0, math.sqrt(lo_r * hi_r)))
         consumed = 0
         while far and far[0][0] <= hi_r * (1.0 + 1e-12):
             consumed += far.pop(0)[1]
         inside += consumed
         edge = hi_r * A
-    intervals.append((edge, math.inf, "gap", inside, gap_constant()))
+    intervals.append((edge, math.inf, "gap", inside, _far_constant(lead_abs, far)))
     return [iv for iv in intervals if iv[1] > iv[0]]
 
 

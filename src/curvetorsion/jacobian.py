@@ -58,11 +58,6 @@ def phi_alt(curve: CurveGamma, t: Triple) -> np.ndarray:
     return -curve(t.z1) + curve(t.z2) - curve(t.z3)
 
 
-def _det3_values(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray):
-    """Cofactor determinant of (..., 3) column arrays."""
-    return _det3_entries(*((col[..., 0], col[..., 1], col[..., 2]) for col in (c1, c2, c3)))
-
-
 def _derivative_values(curve: CurveGamma, z) -> list:
     """[P1'(z), P2'(z), P3'(z)], each an array shaped like z."""
     zz = np.asarray(z, dtype=np.complex128)

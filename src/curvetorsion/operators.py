@@ -9,12 +9,15 @@ points: ``extension`` passes one point, and ``norm_ratio_scan`` evaluates
 each (function, dilation) once over its whole grid.  The kernel works
 through the batch in chunks, and its values do not depend on the chunk size.
 
-The Monte Carlo estimators ``convolve`` and ``pairing`` draw their random
-arrays whole, in a fixed order, and then build every per-sample value (the
-point z of F, the disk point w, Gamma(w), z - Gamma(w), lambda(w) and the
-membership test) _CHUNK_SAMPLES rows at a time into one samples array.  The
-mean and the standard error are taken over that whole array, so memory is
-bounded per sample and the estimates do not depend on the chunk size.
+The Monte Carlo estimators share one sampling kernel.  ``convolve`` passes
+its one point z and its f; ``pairing`` passes f = chi_E and one point z of F
+per sample, because <T chi_E, chi_F> = |F| times the mean over z in F of
+T chi_E(z).  The random arrays (F's, then the disk's) are drawn whole, in
+a fixed order, and every per-sample value (the point z, the disk point w,
+Gamma(w), z - Gamma(w), lambda(w) and f) is built _CHUNK_SAMPLES rows at a
+time into one samples array.  The mean and the standard error are taken
+over that whole array, so memory is bounded per sample and the estimates do
+not depend on the chunk size.
 
 The frequency pairing z . Gamma(w) is the real inner product of C^3 read as
 R^6: sum_j Re(z_j) Re(Gamma_j) + Im(z_j) Im(Gamma_j).  This convention is
@@ -199,16 +202,9 @@ def ball_measure_check(spec: BallSpec):
     return sigma, spec.x / 8.0
 
 
-def _disk_polar(n: int, radius: float, rng) -> tuple:
-    """Polar coordinates (r, theta) of n uniform points of the disk."""
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    return r, theta
-
-
-def _row_slices(n: int):
-    """Consecutive _CHUNK_SAMPLES-row slices covering n rows."""
-    return (slice(start, start + _CHUNK_SAMPLES) for start in range(0, n, _CHUNK_SAMPLES))
+def _row_slices(n: int, rows: int):
+    """Consecutive slices of ``rows`` rows covering n rows."""
+    return (slice(start, start + rows) for start in range(0, n, rows))
 
 
 def _complex_stderr(samples: np.ndarray, scale: float) -> float:
@@ -229,19 +225,20 @@ def _complex_stderr(samples: np.ndarray, scale: float) -> float:
     return scale * math.sqrt(var / n)
 
 
-def _convolve_samples(curve: CurveGamma, f, z, disk_radius: float, n: int,
+def _convolve_samples(curve: CurveGamma, f, points, disk_radius: float, n: int,
                       rng) -> np.ndarray:
     """f(z - Gamma(w)) lambda(w) at n uniform points w of the disk.
 
     The disk's r and theta are drawn whole; every other array is built one
-    _CHUNK_SAMPLES-row slice at a time.
+    _CHUNK_SAMPLES-row slice at a time.  ``points(s)`` gives the z rows of
+    slice s, either one row shared by every sample or one row per sample.
     """
-    r, theta = _disk_polar(n, disk_radius, rng)
-    z = np.asarray(z, dtype=np.complex128).reshape(1, 3)
+    r = disk_radius * np.sqrt(rng.random(n))
+    theta = 2.0 * math.pi * rng.random(n)
     samples = None
-    for s in _row_slices(n):
+    for s in _row_slices(n, _CHUNK_SAMPLES):
         w = r[s] * np.exp(1j * theta[s])
-        values = np.asarray(f(z - curve(w))) * lambda_weight(curve.torsion, w)
+        values = np.asarray(f(points(s) - curve(w))) * lambda_weight(curve.torsion, w)
         if samples is None:
             samples = np.empty(n, dtype=values.dtype)
         samples[s] = values
@@ -261,38 +258,28 @@ def convolve(curve: CurveGamma, f, z, disk_radius: float, n_mc: int, seed: int):
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     rng = np.random.default_rng(seed)
-    samples = _convolve_samples(curve, f, z, disk_radius, n_mc, rng)
+    z = np.asarray(z, dtype=np.complex128).reshape(1, 3)
+    samples = _convolve_samples(curve, f, lambda s: z, disk_radius, n_mc, rng)
     area = math.pi * disk_radius**2
     value = complex(area * samples.mean())
     return value, _complex_stderr(samples, area)
 
 
-def _pairing_samples(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
-                     disk_radius: float, n: int, rng) -> np.ndarray:
-    """lambda(w) where z - Gamma(w) lies in E, else 0, for n pairs (z, w).
-
-    z is uniform in F and w uniform in the disk.  F's arrays, then the
-    disk's r and theta, are drawn whole; the points, Gamma, lambda and the
-    membership test are built one _CHUNK_SAMPLES-row slice at a time.
-    """
-    f_draw = F.draw(n, rng)
-    r, theta = _disk_polar(n, disk_radius, rng)
-    samples = np.empty(n)
-    for s in _row_slices(n):
-        z = F.place(*(a[s] for a in f_draw))
-        w = r[s] * np.exp(1j * theta[s])
-        inside = E.contains(z - curve(w))
-        samples[s] = np.where(inside, lambda_weight(curve.torsion, w), 0.0)
-    return samples
+def _placed_rows(S: MeasurableSet, n: int, rng):
+    """Draw the arrays of n points of S whole; return the map from a slice
+    to its placed rows.  The draws live only as long as that map."""
+    draws = S.draw(n, rng)
+    return lambda s: S.place(*(a[s] for a in draws))
 
 
 def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
             disk_radius: float, n_mc: int, seed: int) -> WeakTypeReport:
     """Estimate <T chi_E, chi_F> and derive alpha, beta, and the weak-type ratio.
 
-    One (z, w) pair per sample: z uniform in F, w uniform in the disk.  The
-    identities alpha |F| = pairing = beta |E| hold exactly by construction;
-    the weak-type ratio divides the pairing by |E|**(1/2) |F|**(2/3), and
+    One (z, w) pair per sample, z uniform in F and w uniform in the disk,
+    sampled by ``convolve``'s kernel with f = chi_E.  The identities
+    alpha |F| = pairing = beta |E| hold exactly by construction; the
+    weak-type ratio divides the pairing by |E|**(1/2) |F|**(2/3), and
     ``weak_type_gap`` reports alpha**4 beta**2 / |E| for the equivalent
     lower-bound form.
     """
@@ -301,7 +288,8 @@ def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     rng = np.random.default_rng(seed)
-    samples = _pairing_samples(curve, E, F, disk_radius, n_mc, rng)
+    samples = _convolve_samples(curve, E.contains, _placed_rows(F, n_mc, rng),
+                                disk_radius, n_mc, rng)
     scale = F.volume * math.pi * disk_radius**2
     est = float(scale * samples.mean())
     stderr = _complex_stderr(samples.astype(np.complex128), scale)
@@ -352,9 +340,8 @@ def _extension_values(curve: CurveGamma, f, zs, n_quad: int,
     lam = lambda_weight(curve.torsion, nodes)
     zs = np.asarray(zs, dtype=np.complex128).reshape(-1, 3)
     values = np.empty(zs.shape[0], dtype=np.complex128)
-    for start in range(0, zs.shape[0], _CHUNK_POINTS):
-        chunk = zs[start:start + _CHUNK_POINTS]
-        z_re, z_im = chunk.real, chunk.imag
+    for s in _row_slices(zs.shape[0], _CHUNK_POINTS):
+        z_re, z_im = zs[s].real, zs[s].imag
         phase = z_re[:, 0:1] * g_re[0]
         phase += z_re[:, 1:2] * g_re[1]
         phase += z_re[:, 2:3] * g_re[2]
@@ -363,7 +350,7 @@ def _extension_values(curve: CurveGamma, f, zs, n_quad: int,
         im_part += z_im[:, 2:3] * g_im[2]
         phase += im_part
         integrand = np.exp(1j * phase) * fw * lam
-        values[start:start + chunk.shape[0]] = np.sum(weights * integrand, axis=1)
+        values[s] = np.sum(weights * integrand, axis=1)
     return values
 
 

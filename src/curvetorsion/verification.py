@@ -4,7 +4,9 @@ triple-integral inequality.
 The geometric ratio compares |Jacobian| against the product of the cube
 roots of the torsion moduli and the pairwise point distances; region
 verifiers aggregate the ratio over reproducibly sampled triples and record
-the worst witness for replay.
+the worst witness for replay.  ``verify_region`` and ``geometric_ratio``
+evaluate through one function, ``_interleaved_values``, so a witness
+replayed on the machine that stored it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -59,28 +61,19 @@ class VerificationReport:
         return {**vars(self), "worst_witness": self.worst_witness.to_json()}
 
 
-def _bound_from(l3_1, l3_2, l3_3, z1, z2, z3):
-    """The lower-bound product from L3 at the three points."""
-    l3 = np.abs(np.asarray(l3_1) * np.asarray(l3_2) * np.asarray(l3_3))
-    dist = np.abs(z2 - z1) * np.abs(z3 - z1) * np.abs(z3 - z2)
-    return l3 ** (1.0 / 3.0) * dist
-
-
-def _bound_values(tt: TorsionTriple, z1, z2, z3):
-    return _bound_from(tt.L3(z1), tt.L3(z2), tt.L3(z3), z1, z2, z3)
-
-
 def _interleaved_values(curve: CurveGamma, tt: TorsionTriple, pts: np.ndarray):
     """(bound, Jacobian) of the triples (pts[0::3], pts[1::3], pts[2::3]).
 
-    L3 and each derivative are evaluated once on the whole array and then
-    sliced; the values are bitwise those of ``_bound_values`` and
-    ``jacobian_direct_batch`` on the three strided slices.
+    The bound is |L3(z1) L3(z2) L3(z3)|**(1/3) times the three pairwise
+    distances.  L3 and each derivative are evaluated once on the whole array
+    and then sliced; the values are bitwise those of evaluating each strided
+    slice on its own.
     """
     l3 = tt.L3(pts)
     derivs = [d(pts) for d in curve.derivatives]
-    zs = [pts[k::3] for k in range(3)]
-    bound = _bound_from(*(l3[k::3] for k in range(3)), *zs)
+    z1, z2, z3 = (pts[k::3] for k in range(3))
+    dist = np.abs(z2 - z1) * np.abs(z3 - z1) * np.abs(z3 - z2)
+    bound = np.abs(l3[0::3] * l3[1::3] * l3[2::3]) ** (1.0 / 3.0) * dist
     jac = _det3_entries(*([d[k::3] for d in derivs] for k in range(3)))
     return bound, jac
 
@@ -88,15 +81,18 @@ def _interleaved_values(curve: CurveGamma, tt: TorsionTriple, pts: np.ndarray):
 def geometric_ratio(curve: CurveGamma, t: Triple) -> RatioSample:
     """|Jacobian| over the torsion/distance lower-bound product.
 
-    Raises DegenerateTriple for coincident points or a vanishing torsion
-    value at any of the three points.
+    Evaluated by ``verify_region``'s evaluator on the 3-point array, so a
+    stored witness recomputes bit for bit.  Raises DegenerateTriple for
+    coincident points or a vanishing torsion value at any of the three
+    points.
     """
     if t.z1 == t.z2 or t.z2 == t.z3 or t.z1 == t.z3:
         raise DegenerateTriple("triple has coincident points")
-    bound = float(_bound_values(curve.torsion, t.z1, t.z2, t.z3))
+    bound, jac = _interleaved_values(curve, curve.torsion, np.array(t, dtype=np.complex128))
+    bound = float(bound[0])
     if bound == 0.0:
         raise DegenerateTriple("torsion vanishes at a sample point")
-    jac = abs(jacobian_direct(curve, t))
+    jac = float(np.abs(jac[0]))
     return RatioSample(triple=t, jacobian_mod=jac, bound_value=bound, ratio=jac / bound)
 
 

@@ -13,6 +13,7 @@ from curvetorsion.cli import main
 from curvetorsion.curves import CurveGamma
 from curvetorsion.decomposition import SigmaExponents, admissible
 from curvetorsion.errors import NonConvergence, RootFindingFailed
+from curvetorsion.jacobian import Triple
 from curvetorsion.reports import svg_region_map
 
 from conftest import poly, validate
@@ -336,6 +337,36 @@ class TestReplay:
         result = json.loads(res.output)
         assert result["match"] is True
         assert result["stored_ratio"] == entry["worst_witness"]["ratio"]
+
+    @pytest.mark.parametrize("name", ["z2z4", "z3z5"])
+    def test_every_witness_recomputes_exactly(self, tmp_path, request, name):
+        # geometric_ratio evaluates with verify_region's evaluator, so each
+        # stored witness record comes back bit for bit, not only within
+        # replay's tolerance.
+        curve = request.getfixturevalue(f"curve_{name}")
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["analyze", str(write_curve(tmp_path, curve)),
+                                   "--seed", "7", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        entries = json.loads((out / "verification.json").read_text())["reports"]
+        for entry in entries:
+            witness = entry["worst_witness"]
+            t = Triple(*(complex(re, im) for re, im in witness["triple"]))
+            assert verification.geometric_ratio(curve, t).to_json() == witness
+
+    def test_replay_recomputes_the_stored_ratio(self, tmp_path, curve_z2z4):
+        # Region 0 of z2z4: evaluating its witness as scalars, not through the
+        # verifier's array evaluator, gives 0.4995303710810141, one ulp off.
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["analyze", str(write_curve(tmp_path, curve_z2z4)),
+                                   "--seed", "7", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        res = RUNNER.invoke(main, ["replay", str(out / "verification.json"),
+                                   "--region-id", "L3:v0.s55.l0"])
+        assert res.exit_code == 0, res.output
+        result = json.loads(res.output)
+        assert result["stored_ratio"] == 0.49953037108101417
+        assert result["recomputed_ratio"] == result["stored_ratio"]
 
 
 class TestSvg:

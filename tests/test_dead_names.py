@@ -1,9 +1,11 @@
 """Every module-level function, class and assignment of the package is used.
 
 A name counts as used when some module of the package, the tests or the
-benchmark harness loads it, reads it as an attribute or imports it.  Click
-commands, which are used through their group, and dunder names such as
-``__all__`` are exempt.
+benchmark harness loads it, reads it as an attribute or imports it.  A
+private (``_``-prefixed) name must be used by the package or the benchmark
+harness, not only by the tests: a reference that only a test compares
+against belongs in that test.  Click commands, which are used through their
+group, and dunder names such as ``__all__`` are exempt.
 """
 
 import ast
@@ -41,15 +43,27 @@ def _references(tree):
             yield node.name
 
 
-def test_no_dead_module_level_names():
+def _used_names(*directories):
     used = set()
-    for directory in ("src", "tests", "perfbench"):
+    for directory in directories:
         for path in (ROOT / directory).rglob("*.py"):
             used.update(_references(ast.parse(path.read_text(), str(path))))
-    dead = [
+    return used
+
+
+def _unused(used, keep=lambda name: True):
+    return [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _definitions(ast.parse(path.read_text(), str(path)))
-        if name not in used
+        if keep(name) and name not in used
     ]
-    assert dead == []
+
+
+def test_no_dead_module_level_names():
+    assert _unused(_used_names("src", "tests", "perfbench")) == []
+
+
+def test_no_private_names_used_only_by_tests():
+    private = lambda name: name.startswith("_")
+    assert _unused(_used_names("src", "perfbench"), private) == []

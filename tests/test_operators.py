@@ -184,8 +184,10 @@ class TestMonteCarloChunks:
         reports = set()
         for chunk in self.CHUNKS:
             monkeypatch.setattr(operators, "_CHUNK_SAMPLES", chunk)
-            samples = operators._pairing_samples(moment_curve, E, F, 1.0, self.N_MC,
-                                                 np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            samples = operators._convolve_samples(
+                moment_curve, E.contains, operators._placed_rows(F, self.N_MC, rng), 1.0,
+                self.N_MC, rng)
             assert samples.tobytes() == reference.tobytes()
             rep = pairing(moment_curve, E, F, 1.0, self.N_MC, seed)
             reports.add(tuple(float(v).hex() for v in vars(rep).values()))
@@ -200,8 +202,8 @@ class TestMonteCarloChunks:
         results = set()
         for chunk in self.CHUNKS:
             monkeypatch.setattr(operators, "_CHUNK_SAMPLES", chunk)
-            samples = operators._convolve_samples(moment_curve, f, z, 1.3, self.N_MC,
-                                                  np.random.default_rng(seed))
+            samples = operators._convolve_samples(moment_curve, f, lambda s: z, 1.3,
+                                                  self.N_MC, np.random.default_rng(seed))
             assert samples.dtype == reference.dtype
             assert samples.tobytes() == reference.tobytes()
             value, stderr = convolve(moment_curve, f, z, 1.3, self.N_MC, seed)
@@ -212,8 +214,9 @@ class TestMonteCarloChunks:
     def test_pairing_memory_per_sample(self, moment_curve, monkeypatch, f_kind):
         # The whole draws (F's (n, 6) block, a ball's radii, the disk's r and
         # theta) and the samples hold 80 B per sample for a ball F; evaluating
-        # every step at full length held about 200.  Small slices keep the
-        # slice temporaries out of the count.
+        # every step at full length held about 200, and keeping F's draws
+        # alive through the mean and standard error 104 (96 for a box F).
+        # Small slices keep the slice temporaries out of the count.
         monkeypatch.setattr(operators, "_CHUNK_SAMPLES", 4096)
         n = 200_000
         E = MeasurableSet(kind="ball", center=(0, 0, 0), size=1.0)
@@ -225,7 +228,7 @@ class TestMonteCarloChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 120
+        assert peak / n < 90
 
 
 class TestBallMeasure:

@@ -21,13 +21,12 @@ from curvetorsion.geometry import (
 )
 from curvetorsion.jacobian import (
     Triple,
-    _det3_values,
     derivative_columns,
     jacobian_direct,
     jacobian_direct_batch,
 )
-from curvetorsion.polynomials import ComplexPolynomial
-from curvetorsion.verification import _bound_values, _interleaved_values
+from curvetorsion.polynomials import ComplexPolynomial, _det3_entries
+from curvetorsion.verification import _interleaved_values
 
 
 @st.composite
@@ -277,6 +276,17 @@ def test_area_is_bitwise_the_rolled_area(poly, as_numpy, cw):
 parts = st.floats(-3.0, 3.0, allow_nan=False)
 coeff_lists = st.lists(st.builds(complex, parts, parts), min_size=1, max_size=6)
 point_arrays = st.lists(st.tuples(parts, parts), min_size=1, max_size=20)
+
+
+def _det3_values(c1, c2, c3):
+    """Cofactor determinant of (..., 3) column arrays."""
+    return _det3_entries(*((col[..., 0], col[..., 1], col[..., 2]) for col in (c1, c2, c3)))
+
+
+def _bound_values(tt, z1, z2, z3):
+    """The lower-bound product with L3 evaluated on each point array on its own."""
+    l3 = np.abs(tt.L3(z1) * tt.L3(z2) * tt.L3(z3))
+    return l3 ** (1.0 / 3.0) * (np.abs(z2 - z1) * np.abs(z3 - z1) * np.abs(z3 - z2))
 
 
 def reference_columns(curve, z):
