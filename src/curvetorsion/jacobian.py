@@ -28,6 +28,9 @@ _IDENTITY_TOL = 1e-6
 _MAX_ATTEMPTS_FACTOR = 300
 # Identity-trial attempts drawn and screened together.
 _TRIAL_BLOCK = 256
+# Grid points per slab of whole i-planes in the nested quadrature: 64 KiB
+# per complex temporary, under glibc's default 128 KiB mmap threshold.
+_SLAB_POINTS = 4096
 
 class Triple(NamedTuple):
     """Three sample points in the plane."""
@@ -114,6 +117,13 @@ def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int, modulus: bool = Fal
 
     With ``modulus`` every factor is replaced by its modulus and the result
     is a float; otherwise it is the complex integral.
+
+    The innermost integrand is built and summed in slabs of whole i-planes,
+    so a pass holds at most max(_SLAB_POINTS, n^2) grid points at a time
+    when 4 divides n (every doubling from 12 or 16 nodes), and at most
+    max(_SLAB_POINTS, 4 n^2) otherwise, not n^3.  The result is
+    bit-identical to building the grid at once for every n divisible by 4
+    and every n below 78.
     """
     f = abs if modulus else (lambda v: v)
     z1, z2, z3 = map(complex, t)
@@ -124,9 +134,20 @@ def _nested_quadrature(tt: TorsionTriple, t: Triple, n: int, modulus: bool = Fal
     r2_w2 = f(np.asarray(L2(w2))) / f(np.asarray(L1(w2))) ** 2
 
     seg = w2[None, :] - w1[:, None]
-    y = w1[:, None, None] + seg[:, :, None] * tau[None, None, :]
-    r3 = f(np.asarray(L1(y))) * f(np.asarray(L3(y))) / f(np.asarray(L2(y))) ** 2
-    inner = f(seg) * np.tensordot(r3, wt, axes=([2], [0]))
+    # OpenBLAS's gemv sums (i, j) rows in groups of four and rounds the
+    # leftover rows differently, so every slab but the last spans a multiple
+    # of four rows, each in the group it has in the whole grid.  (For n not
+    # divisible by 4 from n = 78 on, even the whole grid's bytes change with
+    # OpenBLAS's thread count, and a slab's may differ from them.)
+    step = 4 // math.gcd(n, 4)
+    rows = max(step, _SLAB_POINTS // (n * n) // step * step)
+    summed = np.empty((n, n), dtype=float if modulus else complex)
+    for i in range(0, n, rows):
+        s = slice(i, i + rows)
+        y = w1[s, None, None] + seg[s, :, None] * tau[None, None, :]
+        r3 = f(np.asarray(L1(y))) * f(np.asarray(L3(y))) / f(np.asarray(L2(y))) ** 2
+        summed[s] = np.tensordot(r3, wt, axes=([2], [0]))
+    inner = f(seg) * summed
 
     mid = f(z3 - z2) * np.tensordot(inner * r2_w2[None, :], wt, axes=([1], [0]))
     outer = f(z2 - z1) * np.dot(wt, r2_w1 * mid)
@@ -146,7 +167,9 @@ def jacobian_integral(curve: CurveGamma, t: Triple, q: QuadratureSpec, *,
     failure to stabilize within ``max_doublings`` raises NonConvergence.
     Raises SegmentHitsSingularity when a zero of L1 or L2 lies within
     ``singularity_margin`` of the swept segments.  ``tt`` defaults to
-    ``curve.torsion``.
+    ``curve.torsion``.  Each pass builds its n^3 grid in slabs of whole
+    i-planes (``_nested_quadrature``), so a doubling scales the memory held
+    by about 4 once n^2 exceeds _SLAB_POINTS, not by 8.
     """
     if tt is None:
         tt = curve.torsion

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -277,6 +278,77 @@ class TestScreenedIdentityTrials:
             polynomials.gauss_legendre.cache_clear()
         assert {12, 24} <= set(built)
         assert set(built.values()) == {1}
+
+
+def whole_grid_quadrature(tt, t, n, modulus=False):
+    """``_nested_quadrature`` with the whole n x n x n grid built at once."""
+    f = abs if modulus else (lambda v: v)
+    z1, z2, z3 = map(complex, t)
+    tau, wt, w1, w2 = jacobian._outer_segments(z1, z2, z3, n)
+
+    L1, L2, L3 = tt.L1, tt.L2, tt.L3
+    r2_w1 = f(np.asarray(L2(w1))) / f(np.asarray(L1(w1))) ** 2
+    r2_w2 = f(np.asarray(L2(w2))) / f(np.asarray(L1(w2))) ** 2
+
+    seg = w2[None, :] - w1[:, None]
+    y = w1[:, None, None] + seg[:, :, None] * tau[None, None, :]
+    r3 = f(np.asarray(L1(y))) * f(np.asarray(L3(y))) / f(np.asarray(L2(y))) ** 2
+    inner = f(seg) * np.tensordot(r3, wt, axes=([2], [0]))
+
+    mid = f(z3 - z2) * np.tensordot(inner * r2_w2[None, :], wt, axes=([1], [0]))
+    outer = f(z2 - z1) * np.dot(wt, r2_w1 * mid)
+    lead = f(complex(L1(z1))) * f(complex(L1(z2))) * f(complex(L1(z3)))
+    return float(lead * outer) if modulus else complex(lead * outer)
+
+
+def _clear_triples(tt, seed, count, margin=0.1):
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        t = Triple(*rng.uniform(-1.0, 1.0, 6).view(np.complex128).tolist())
+        try:
+            jacobian.check_triple_clear(tt, t, margin)
+        except SegmentHitsSingularity:
+            continue
+        found.append(t)
+    return found
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+class TestSlabbedQuadrature:
+    """Building the innermost integrand in slabs of whole i-planes gives
+    the whole grid's bytes on both paths."""
+
+    @pytest.mark.parametrize("name", ["mixed", "z3z5", "cubic0", "cubic1", "cubic2"])
+    def test_equals_whole_grid(self, name, monkeypatch, curve_mixed, curve_z3z5):
+        curve = {"mixed": curve_mixed, "z3z5": curve_z3z5}.get(name) or _cubic(int(name[-1]))
+        tt = curve.torsion
+        for t in _clear_triples(tt, seed=11, count=2):
+            for n in (5, 12, 16, 21, 32, 45, 64):
+                for modulus in (False, True):
+                    expected = _bits(whole_grid_quadrature(tt, t, n, modulus))
+                    for slab in (1, 1000, 4096):
+                        monkeypatch.setattr(jacobian, "_SLAB_POINTS", slab)
+                        got = jacobian._nested_quadrature(tt, t, n, modulus)
+                        assert _bits(got) == expected, (t, n, modulus, slab)
+
+    @pytest.mark.parametrize("modulus", [False, True])
+    def test_memory_per_pass(self, modulus):
+        # The whole n = 128 grid held 134.5 MB (117.7 MB on the modulus
+        # path); a slab of one plane holds about 2 MB.
+        tt = _cubic(0).torsion
+        t = _clear_triples(tt, seed=3, count=1, margin=0.3)[0]
+        jacobian._nested_quadrature(tt, t, 16, modulus)
+        tracemalloc.start()
+        try:
+            jacobian._nested_quadrature(tt, t, 128, modulus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSectorContained:
