@@ -1,11 +1,11 @@
 """Command-line front end: analyze curves, check the Jacobian identity,
 and run the operator estimators.
 
-Exit codes: 0 success, 2 usage (including out-of-range option values),
-3 input/parse (including degenerate curves), 4 numerical failure,
-5 verification failure.  Failures print a machine-readable error JSON to
-stdout and write no partial outputs; all stochastic commands require
-explicit seeds.
+Exit codes: 0 success, 2 usage (including out-of-range and non-finite
+option values), 3 input/parse (including degenerate curves), 4 numerical
+failure, 5 verification failure.  Failures print a machine-readable error
+JSON to stdout and write no partial outputs; all stochastic commands
+require explicit seeds.
 """
 
 from __future__ import annotations
@@ -59,15 +59,27 @@ def _load_curve(path: str) -> CurveGamma:
         raise _Failure(exc)
 
 
-_POSITIVE = click.FloatRange(min=0, min_open=True)
+class _FiniteRange(click.FloatRange):
+    """A float range that also rejects nan and the infinities."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
+_FINITE = _FiniteRange()
+_POSITIVE = _FiniteRange(min=0, min_open=True)
 _QUAD_NODES = click.IntRange(min=4)
 
 
 def _comma_list(item, count=None):
     """Click callback parsing a comma-separated option value with ``item``.
 
-    Empty entries are skipped.  An entry ``item`` rejects with ValueError,
-    or a number of entries other than ``count``, is a usage error.
+    Empty entries are skipped.  An entry that ``item`` rejects (ValueError,
+    or BadParameter from a click type) and a number of entries other than
+    ``count`` are usage errors.
     """
 
     def callback(ctx, param, text):
@@ -88,10 +100,14 @@ def _center(vals) -> tuple:
 
 
 def _pq_pair(text: str) -> PQPair:
+    """'p:q' with a finite p; q may be inf, not nan."""
     if text.count(":") != 1:
         raise ValueError(f"expected 'p:q', got {text!r}")
     p_txt, q_txt = text.split(":")
-    return PQPair(p=float(p_txt), q=float(q_txt))
+    p, q = float(p_txt), float(q_txt)
+    if not math.isfinite(p) or math.isnan(q):
+        raise ValueError(f"expected a finite p and a q that is not nan, got {text!r}")
+    return PQPair(p=p, q=q)
 
 
 def _run(command):
@@ -194,7 +210,7 @@ def analyze(curve_file, seed, eps, samples, retry, exploratory):
 @click.option("--nodes", type=_QUAD_NODES, default=16)
 @click.option("--box-radius", type=_POSITIVE, default=1.0,
               help="Half-width of the sampling box for triples.")
-@click.option("--margin", type=click.FloatRange(min=0), default=0.35,
+@click.option("--margin", type=_FiniteRange(min=0), default=0.35,
               help="Minimum pole distance for a triple to count as admissible.")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @_run
@@ -228,11 +244,11 @@ def operator():
 @click.option("--n-mc", type=click.IntRange(min=1), default=100_000)
 @click.option("--disk-radius", type=_POSITIVE, default=1.0)
 @click.option("--e-kind", type=click.Choice(["ball", "box"]), default="ball")
-@click.option("--e-center", default="0,0,0,0,0,0", callback=_comma_list(float, 6),
+@click.option("--e-center", default="0,0,0,0,0,0", callback=_comma_list(_FINITE, 6),
               help="Six comma-separated reals re1,im1,...,im3.")
 @click.option("--e-size", type=_POSITIVE, default=1.0)
 @click.option("--f-kind", type=click.Choice(["ball", "box"]), default="ball")
-@click.option("--f-center", default="0,0,0,0,0,0", callback=_comma_list(float, 6),
+@click.option("--f-center", default="0,0,0,0,0,0", callback=_comma_list(_FINITE, 6),
               help="Six comma-separated reals re1,im1,...,im3.")
 @click.option("--f-size", type=_POSITIVE, default=1.0)
 @click.option("--out", type=click.Path(file_okay=False), default=None)

@@ -1,4 +1,4 @@
-"""Curves in C^3, their torsion triple, and curve-level transformations.
+"""Curves in C^3, their torsion triple, and the affine action on curves.
 
 A curve is a triple of complex polynomials.  The torsion triple consists of
 the first component's derivative, the 2x2 Wronskian-type determinant of the
@@ -13,15 +13,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonConvergence, SegmentHitsSingularity, SingularAtOrigin
+from .errors import SegmentHitsSingularity
 from .polynomials import ComplexPolynomial, det2, det3, roots
 
 # Coefficient-residue factor below which a computed determinant counts as
 # identically zero (cancellation in the cofactor expansion is exact in theory
 # but rounded in practice).
 _ZERO_DET_REL = 1e-10
-
-_SINGULAR_FLOOR = 1e-12
 
 # Relative size below which trailing coefficients of the torsion triple are
 # dropped before its roots are taken.
@@ -207,52 +205,4 @@ def affine_apply(curve: CurveGamma, amap: AffineMap3) -> CurveGamma:
         for j in range(3):
             acc = acc + amap.matrix[i, j] * curve.components[j]
         comps.append(acc)
-    return CurveGamma.from_components(*comps, degree_bound=curve.degree_bound)
-
-
-def normalize_at_origin(curve: CurveGamma) -> tuple[CurveGamma, AffineMap3]:
-    """Normalize so the curve passes through 0 with unit derivative frame.
-
-    The returned curve g satisfies g(0) = 0 and g^(j)(0) = e_j for j = 1..3;
-    the returned map reproduces the transformation.
-
-    Raises
-    ------
-    SingularAtOrigin
-        When the derivative frame at 0 is numerically singular.
-    """
-    frame = curve.derivative_frame()
-    m = np.array(
-        [[frame[i][j](0.0) for j in range(3)] for i in range(3)], dtype=np.complex128
-    )
-    if abs(np.linalg.det(m)) < _SINGULAR_FLOOR:
-        raise SingularAtOrigin("derivative frame at the origin is singular; recenter first")
-    inv = np.linalg.inv(m)
-    gamma0 = np.array([c(0.0) for c in curve.components], dtype=np.complex128)
-    amap = AffineMap3.create(inv, -inv @ gamma0)
-    out = affine_apply(curve, amap)
-
-    new_frame = out.derivative_frame()
-    at0 = np.array(
-        [[new_frame[i][j](0.0) for j in range(3)] for i in range(3)], dtype=np.complex128
-    )
-    origin = np.array([c(0.0) for c in out.components], dtype=np.complex128)
-    if np.max(np.abs(at0 - np.eye(3))) > 1e-9 or np.max(np.abs(origin)) > 1e-9:
-        raise NonConvergence("normalization postconditions missed the 1e-9 target")
-    return out, amap
-
-
-def offspring_curve(curve: CurveGamma, h, K: int) -> CurveGamma:
-    """Average of K translates: components (1/K) * sum_j P_i(z + h_j)."""
-    h = list(h)
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if len(h) != K:
-        raise ValueError("length of h must equal K")
-    comps = []
-    for c in curve.components:
-        acc = c.shift(h[0])
-        for hj in h[1:]:
-            acc = acc + c.shift(hj)
-        comps.append((1.0 / K) * acc)
     return CurveGamma.from_components(*comps, degree_bound=curve.degree_bound)

@@ -16,12 +16,12 @@ which requires sector apertures of at most pi/8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .curves import TRIM_TOL, CurveGamma, AffineMap3, TorsionTriple, affine_apply
+from .curves import CurveGamma, AffineMap3, TorsionTriple, affine_apply
 from .errors import (
     ApertureTooWide,
     CurveTorsionError,
@@ -44,7 +44,7 @@ from .geometry import (
     sample_fan,
     square_polygon,
 )
-from .polynomials import ComplexPolynomial, _horner_pair, roots
+from .polynomials import ComplexPolynomial, _horner_pair
 from .polynomials import _eval_error_bound as _poly_noise_bound
 
 TAU = 2.0 * math.pi
@@ -121,22 +121,6 @@ def admissible(sig: SigmaExponents) -> bool:
     return s3 != -1 and (band < -2.0 or band >= 0.0)
 
 
-def exponent_exclusions_ok(sig: SigmaExponents) -> bool:
-    """Explicit exponent exclusions enforced on retried decompositions."""
-    if sig.region_type == "T10":
-        if sig.k_sub == 1:
-            return False
-        if 2 * sig.k_mid == -1 - sig.k_sub:
-            return False
-    if sig.region_type == "T00":
-        if 2 * sig.k_mid == sig.k + sig.k_sub + 1:
-            return False
-        for i in (1, 2, 3, 4):
-            if 3 * sig.k_sub == sig.k + i:
-                return False
-    return True
-
-
 class Comparability(NamedTuple):
     """|L| ~ c * |z - center|**k on a region."""
 
@@ -206,22 +190,6 @@ class Region:
             raise EmptyRegion(f"region {self.region_id}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class D1Cell:
-    region: Region
-    center: complex
-    exponent: int
-    constant: float
-
-
-@dataclass(frozen=True)
-class D2Cell:
-    region: Region
-    kind: str  # "gap" | "dyadic" | "const"
-    exponent: int
-    constant: float
-
-
 @dataclass
 class DecompositionReport:
     regions: list
@@ -245,7 +213,9 @@ class DecompositionReport:
 
 def _validate_eps(eps: float):
     m = TAU / eps
-    if abs(m - round(m)) > 1e-9 * max(1.0, m):
+    # A relative 1e-9 absorbs the roundoff of TAU / eps.  It is capped, since
+    # from m = 5e8 on it would reach 1/2 and so pass every eps.
+    if abs(m - round(m)) > min(1e-9 * max(1.0, m), 1e-6):
         raise EpsNotDivisor(f"2*pi/eps = {m} is not an integer")
     if eps > MAX_APERTURE + 1e-12:
         raise ApertureTooWide(f"aperture {eps} exceeds pi/8")
@@ -358,16 +328,6 @@ class _Context:
         rmax = max((abs(r) for rs in root_sets.values() for r, _ in rs.roots), default=1.0)
         return cls(eps, m, 10.0 * max(rmax, 1.0), root_sets)
 
-    @classmethod
-    def of_polynomial(cls, Q: ComplexPolynomial, eps: float, m: int) -> "_Context":
-        """Context of a decomposition by the one non-constant, trimmed
-        polynomial Q."""
-        try:
-            rs = roots(Q)
-        except NonConvergence as exc:
-            raise RootFindingFailed(str(exc)) from exc
-        return cls.create({Q: rs}, eps, m)
-
     @property
     def half_width(self) -> float:
         return 1.25 * self.working_radius
@@ -375,11 +335,6 @@ class _Context:
     @property
     def square(self) -> tuple:
         return square_polygon(0.0, self.half_width)
-
-    def recut(self, domain: Region) -> Region:
-        """The domain with its polygon clipped from this context's square,
-        for domains built under another working square."""
-        return replace(domain, clipped=_cut(self.square, domain.halfplanes))
 
 
 def _merge_distances(pairs):
@@ -449,14 +404,14 @@ def _domain_window(b: complex, domain: Region | None, m: int, eps: float):
 
 def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
     """Cells of the root-geometry decomposition of the trimmed Q, clipped
-    to a domain.  Q's roots are logged under ``log_key``; each cell's id is
-    ``id_prefix + log_key`` followed by its place in the decomposition."""
+    to a domain: yields (region, Comparability) with |Q| ~ c * |z - b|**k
+    on the region.  Q's roots are logged under ``log_key``; each cell's id
+    is ``id_prefix + log_key`` followed by its place in the decomposition."""
     id_prefix += log_key
     eps = ctx.eps
     if Q.degree <= 0:
         # A constant only ever cuts the whole plane, into bare sectors.
         c0 = abs(Q.coeffs[0])
-        cells = []
         for n in range(ctx.m_sectors):
             region = _build_region(
                 0.0,
@@ -467,8 +422,8 @@ def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
                 region_id=f"{id_prefix}s{n}",
             )
             if region is not None:
-                cells.append(D1Cell(region, 0.0, 0, c0))
-        return cells
+                yield region, Comparability(0.0, 0, c0)
+        return
 
     rs = ctx.root_sets[Q]
     ctx.root_log[log_key] = {
@@ -479,7 +434,6 @@ def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
     mults = list(rs.multiplicities())
     lead_abs = float(abs(Q.coeffs[-1]))
     m = ctx.m_sectors
-    cells = []
     outer = ctx.square if domain is None else domain.clipped
     extra_domain = () if domain is None else domain.halfplanes
     for j in range(len(mults)):
@@ -506,17 +460,7 @@ def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
                     parent_voronoi=j,
                 )
                 if region is not None:
-                    cells.append(D1Cell(region, complex(b), int(k), float(c)))
-    return cells
-
-
-def d1_decompose(Q: ComplexPolynomial, domain: Region | None, eps: float) -> list:
-    """Public first decomposition: |Q| ~ c * |z - b|**k on each cell."""
-    Q = Q.trimmed(TRIM_TOL)
-    if Q.degree <= 0:
-        raise ValueError("Q must be nonconstant")
-    ctx = _Context.of_polynomial(Q, eps, _validate_eps(eps))
-    return _d1_cells(Q, None if domain is None else ctx.recut(domain), ctx, "d1:")
+                    yield region, Comparability(complex(b), int(k), float(c))
 
 
 # ---------------------------------------------------------------------------
@@ -570,68 +514,30 @@ def _radial_structure(Q, b, ctx):
 
 
 def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
-    """Radial pieces of a domain by the trimmed Q around b."""
+    """Radial pieces of a sector domain centered at b by the trimmed Q:
+    yields (region, kind, Comparability) with kind "gap", "dyadic" or, for
+    a constant Q and the whole domain, "const".  A dyadic band's constant
+    is its radius."""
     if Q.degree <= 0:
-        return [D2Cell(domain, "const", 0, float(abs(Q.coeffs[0])))]
-    if abs(complex(b) - domain.center) > 1e-9 * (1.0 + abs(domain.center)):
-        raise ValueError("second decomposition center must match the domain center")
+        yield domain, "const", Comparability(b, 0, float(abs(Q.coeffs[0])))
+        return
     d_lo, d_hi = domain.radial_range
-    structure = _radial_structure(Q, complex(b), ctx)
-    cells = []
-    for idx, (lo, hi, kind, k, c) in enumerate(structure):
+    for idx, (lo, hi, kind, k, c) in enumerate(_radial_structure(Q, complex(b), ctx)):
         lo2, hi2 = max(lo, d_lo), min(hi, d_hi)
         if hi2 <= lo2:
             continue
-        if domain.theta_range is None:
-            if lo2 == 0.0 and not math.isfinite(hi2) and len(structure) == 1:
-                region = domain
-            else:
-                raise ApertureTooWide("domain must lie inside a sector")
-        else:
-            region = _build_region(
-                complex(b),
-                domain.theta_range,
-                (lo2, hi2),
-                working_half_width=ctx.half_width,
-                clipped=domain.clipped,
-                halfplanes=domain.halfplanes,
-                region_id=f"{domain.region_id}|{id_prefix}{kind[0]}{idx}",
-                parent_voronoi=domain.parent_voronoi,
-            )
-        if region is None:
-            continue
-        cells.append(D2Cell(region, kind, int(k), float(c)))
-    return cells
-
-
-def d2_decompose(Q: ComplexPolynomial, b: complex, domain: Region) -> list:
-    """Public second decomposition around center b inside one sector cell."""
-    Q = Q.trimmed(TRIM_TOL)
-    if Q.degree <= 0:
-        raise ValueError("Q must be nonconstant")
-    ctx = _Context.of_polynomial(Q, MAX_APERTURE, 16)
-    return _d2_cells(Q, b, ctx.recut(domain), ctx, "d2:")
-
-
-def convexify(center: complex, theta_range, radial_range, *,
-              working_radius: float = 100.0) -> Region:
-    """Convexify one annular sector into a Region, thickened by THICKENING.
-
-    Raises ApertureTooWide for sectors wider than pi/8.  Unbounded sectors
-    keep an empty polygon and a symbolic infinite outer radius.
-    """
-    half_width = 1.25 * working_radius + abs(center)
-    region = _build_region(
-        complex(center),
-        theta_range,
-        radial_range,
-        working_half_width=half_width,
-        clipped=square_polygon(0.0, half_width),
-        region_id="cell",
-    )
-    if region is None:
-        raise EmptyRegion("the annular sector clipped to nothing")
-    return region
+        region = _build_region(
+            complex(b),
+            domain.theta_range,
+            (lo2, hi2),
+            working_half_width=ctx.half_width,
+            clipped=domain.clipped,
+            halfplanes=domain.halfplanes,
+            region_id=f"{domain.region_id}|{id_prefix}{kind[0]}{idx}",
+            parent_voronoi=domain.parent_voronoi,
+        )
+        if region is not None:
+            yield region, kind, Comparability(b, int(k), float(c))
 
 
 # ---------------------------------------------------------------------------
@@ -881,15 +787,13 @@ def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
     around the roots of Q, and the whole domain for a constant Q lie on
     the T1 side.  Yields (region, Comparability, on_T1_side).
     """
-    for piece in _d2_cells(Q, b, domain, ctx, f"{name}:"):
-        if piece.kind == "dyadic":
+    for piece, kind, comp in _d2_cells(Q, b, domain, ctx, f"{name}:"):
+        if kind == "dyadic":
             # The piece's id keeps the cells of different pieces apart.
-            cells = _d1_cells(Q, piece.region, ctx, f"{name}i:", f"{piece.region.region_id}|")
-            for cell in cells:
-                yield cell.region, Comparability(cell.center, cell.exponent, cell.constant), True
+            for region, cell_comp in _d1_cells(Q, piece, ctx, f"{name}i:", f"{piece.region_id}|"):
+                yield region, cell_comp, True
         else:
-            comp = Comparability(b, piece.exponent, piece.constant)
-            yield piece.region, comp, piece.kind == "const"
+            yield piece, comp, kind == "const"
 
 
 def _walk(tt: TorsionTriple, eps: float | None):
@@ -926,14 +830,13 @@ def _walk(tt: TorsionTriple, eps: float | None):
         }
         return [whole], ctx, polys
     regions = []
-    for cell3 in _d1_cells(L3, None, ctx, "L3:"):
-        comp3 = Comparability(cell3.center, cell3.exponent, cell3.constant)
-        for piece1, comp1, t1 in _split_by(L1, cell3.center, cell3.region, ctx, "L1"):
+    for cell3, comp3 in _d1_cells(L3, None, ctx, "L3:"):
+        for piece1, comp1, t1 in _split_by(L1, comp3.center, cell3, ctx, "L1"):
             for region, comp2, t2 in _split_by(L2, comp1.center, piece1, ctx, "L2"):
                 rtype = REGION_TYPES[2 * t1 + t2]
                 # The T01 sigma row drops k_sub, T11 keeps it; both keep k1 in "L1".
                 k_sub = 0 if rtype == "T01" else comp1.k
-                region.sigma = SigmaExponents.from_exponents(rtype, cell3.exponent, k_sub, comp2.k)
+                region.sigma = SigmaExponents.from_exponents(rtype, comp3.k, k_sub, comp2.k)
                 region.comparability = {"L3": comp3, "L1": comp1, "L2": comp2}
                 regions.append(region)
     return regions, ctx, polys
@@ -979,11 +882,6 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
     return _finish(*_walk(tt, eps), seed)
 
 
-def _retry_ok(sig: SigmaExponents) -> bool:
-    """Sigma triples an affine retry accepts."""
-    return admissible(sig) and exponent_exclusions_ok(sig)
-
-
 def decompose(curve: CurveGamma, eps: float | None = None, *,
               seed: int = 0) -> tuple[CurveGamma, DecompositionReport]:
     """Classify ``curve``, or its first ``affine_retry`` candidate when a
@@ -1020,7 +918,7 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
     RetriesExhausted
         When no candidate in the family yields an admissible report.
     """
-    if all(_retry_ok(r.sigma) for r in report.regions):
+    if all(admissible(r.sigma) for r in report.regions):
         return curve, AffineMap3.identity(), report
     return _retry_candidates(curve, eps, report.seed)
 
@@ -1045,7 +943,7 @@ def _retry_candidates(curve: CurveGamma, eps: float | None, seed: int):
                 except CurveTorsionError as exc:
                     log.append({**candidate, "outcome": f"failed:{type(exc).__name__}"})
                     continue
-                bad = sum(not _retry_ok(r.sigma) for r in regions)
+                bad = sum(not admissible(r.sigma) for r in regions)
                 log.append({
                     **candidate,
                     "outcome": "accepted" if not bad else "inadmissible",

@@ -43,10 +43,6 @@ class DegenerateTorsion(CurveTorsionError):
     """The curve has identically vanishing torsion."""
 
 
-class SingularAtOrigin(CurveTorsionError):
-    """The derivative frame at the origin is numerically singular."""
-
-
 class RetriesExhausted(CurveTorsionError):
     """The deterministic perturbation family ran out of candidates."""
 
@@ -57,10 +53,6 @@ class SegmentHitsSingularity(CurveTorsionError):
     """An integration segment passes too close to an integrand pole."""
 
     exit_code = 4
-
-
-class AllSamplesZero(CurveTorsionError):
-    """Every sampled function value vanished; no argument statistics exist."""
 
 
 class DegenerateTriple(CurveTorsionError):

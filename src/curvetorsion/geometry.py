@@ -74,26 +74,6 @@ def dedupe_vertices(poly, tol: float):
     return tuple(out)
 
 
-def is_convex(poly, tol: float = 0.0) -> bool:
-    """All consecutive edge cross products share one sign (up to tol)."""
-    n = len(poly)
-    if n < 3:
-        return False
-    sign = 0
-    for i in range(n):
-        u = poly[(i + 1) % n] - poly[i]
-        w = poly[(i + 2) % n] - poly[(i + 1) % n]
-        cr = (np.conj(u) * w).imag
-        if abs(cr) <= tol:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
-
-
 def point_in_polygon(z, poly, tol: float = 0.0):
     """Membership in a CCW convex polygon; vectorized over z."""
     zz = np.asarray(z, dtype=np.complex128)

@@ -1,5 +1,5 @@
 """Jacobian of the three-fold sum map: direct determinant and the exact
-nested line-integral representation, plus the sector-containment test.
+nested line-integral representation.
 
 The integral form writes the Jacobian as the product of the first torsion
 polynomial at the three points times a triple line integral of rational
@@ -17,9 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import CurveGamma, TorsionTriple
-from .decomposition import Region
-from .errors import AllSamplesZero, NonConvergence, SegmentHitsSingularity
-from .geometry import _hulls_within, dist_point_triangle, minimal_arc
+from .errors import NonConvergence, SegmentHitsSingularity
+from .geometry import _hulls_within, dist_point_triangle
 from .polynomials import _det3_entries, gauss_legendre
 
 _REL_TOL = 1e-6
@@ -51,25 +50,10 @@ class QuadratureSpec:
             raise ValueError("nodes_per_segment must be at least 4")
 
 
-def phi_sum(curve: CurveGamma, t: Triple) -> np.ndarray:
-    """Componentwise sum Gamma(z1) + Gamma(z2) + Gamma(z3)."""
-    return curve(t.z1) + curve(t.z2) + curve(t.z3)
-
-
-def phi_alt(curve: CurveGamma, t: Triple) -> np.ndarray:
-    """Alternating sum -Gamma(z1) + Gamma(z2) - Gamma(z3)."""
-    return -curve(t.z1) + curve(t.z2) - curve(t.z3)
-
-
 def _derivative_values(curve: CurveGamma, z) -> list:
     """[P1'(z), P2'(z), P3'(z)], each an array shaped like z."""
     zz = np.asarray(z, dtype=np.complex128)
     return [np.asarray(d(zz)) for d in curve.derivatives]
-
-
-def derivative_columns(curve: CurveGamma, z):
-    """Gamma'(z) as an (..., 3) array."""
-    return np.stack(_derivative_values(curve, z), axis=-1)
 
 
 def jacobian_direct(curve: CurveGamma, t: Triple) -> complex:
@@ -248,28 +232,3 @@ def jacobian_identity_trials(curve: CurveGamma, n_trials: int, seed: int, *,
         "excluded_count": excluded,
         "worst_relative_deviation": worst,
     }
-
-
-def sector_contained(f, region: Region, aperture_budget: float, n_samples: int):
-    """Minimal angular arc of f over region samples versus a budget.
-
-    The samples are drawn with seed 0, so repeated calls agree.  Returns
-    (contained, measured_aperture, witness) where the witness is a sample
-    point at an extreme argument when the budget is exceeded, else None.
-    Zero values of f are skipped; if every sample vanishes, AllSamplesZero
-    is raised.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(0)
-    pts = region.sample(n_samples, rng)
-    vals = np.asarray(f(pts))
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    nz = np.abs(vals) > 1e-13 * scale
-    if not np.any(nz):
-        raise AllSamplesZero("f vanished at every sample point")
-    pts_nz = pts[nz]
-    aperture, i_lo, i_hi = minimal_arc(np.angle(vals[nz]))
-    contained = aperture <= aperture_budget
-    witness = None if contained else complex(pts_nz[i_hi])
-    return contained, float(aperture), witness

@@ -43,16 +43,6 @@ class ComplexPolynomial:
         arr.setflags(write=False)
         self._coeffs = arr
 
-    @classmethod
-    def from_roots(cls, lead, roots_with_mults) -> "ComplexPolynomial":
-        """Build ``lead * prod (z - r)**m`` from (root, multiplicity) pairs."""
-        coeffs = np.array([complex(lead)], dtype=np.complex128)
-        for root, mult in roots_with_mults:
-            factor = np.array([-complex(root), 1.0], dtype=np.complex128)
-            for _ in range(int(mult)):
-                coeffs = np.convolve(coeffs, factor)
-        return cls(coeffs)
-
     @property
     def coeffs(self) -> np.ndarray:
         return self._coeffs
@@ -77,16 +67,6 @@ class ComplexPolynomial:
     def derivative(self) -> "ComplexPolynomial":
         """Power-rule derivative; constants map to the zero polynomial."""
         return ComplexPolynomial(_power_rule(self._coeffs))
-
-    def shift(self, h) -> "ComplexPolynomial":
-        """Taylor shift: coefficients of ``p(z + h)`` by synthetic division."""
-        h = complex(h)
-        b = np.array(self._coeffs, dtype=np.complex128)
-        n = b.size
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                b[j] = b[j] + h * b[j + 1]
-        return ComplexPolynomial(b)
 
     def max_coeff(self) -> float:
         return float(np.max(np.abs(self._coeffs)))
@@ -174,10 +154,6 @@ class RootSet:
 
     def multiplicities(self) -> tuple:
         return tuple(int(m) for _, m in self.roots)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.roots)
 
 
 def _power_rule(coeffs: np.ndarray) -> np.ndarray:

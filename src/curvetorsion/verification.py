@@ -1,5 +1,5 @@
-"""Sampling verifiers for the geometric Jacobian lower bound and the
-triple-integral inequality.
+"""Sampling verifier for the geometric Jacobian lower bound, and the
+modulus-inside comparability of the nested integral.
 
 The geometric ratio compares |Jacobian| against the product of the cube
 roots of the torsion moduli and the pairwise point distances; region
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
 from .curves import CurveGamma, TorsionTriple
@@ -24,7 +22,6 @@ from .jacobian import (
     QuadratureSpec,
     Triple,
     _nested_quadrature,
-    _outer_segments,
     check_triple_clear,
     jacobian_direct,
 )
@@ -141,27 +138,6 @@ def verify_region(curve: CurveGamma, region: Region, sig: SigmaExponents,
         excluded_count=excluded,
         exploratory=exploratory,
     )
-
-
-def triple_integral_bound_check(t: Triple, q: QuadratureSpec):
-    """Nested modulus integral against the pairwise-distance product.
-
-    lhs integrates |w2 - w1| over the two outer segments with moduli kept
-    inside; rhs is the product of the three pairwise distances.  Returns
-    (lhs, rhs, ratio) with ratio = lhs / rhs (inf when rhs vanishes but lhs
-    does not, 0 when both vanish).
-    """
-    z1, z2, z3 = map(complex, t)
-    _, wt, w1, w2 = _outer_segments(z1, z2, z3, q.nodes_per_segment)
-    block = np.abs(w2[None, :] - w1[:, None])
-    inner = abs(z3 - z2) * np.tensordot(block, wt, axes=([1], [0]))
-    lhs = abs(z2 - z1) * float(np.dot(wt, inner))
-    rhs = abs(z3 - z1) * abs(z3 - z2) * abs(z2 - z1)
-    if rhs > 0.0:
-        ratio = lhs / rhs
-    else:
-        ratio = math.inf if lhs > 0.0 else 0.0
-    return lhs, rhs, ratio
 
 
 def modulus_comparability_check(curve: CurveGamma, region: Region | None,

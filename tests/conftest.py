@@ -22,6 +22,16 @@ def poly(*coeffs):
     return ComplexPolynomial(list(coeffs))
 
 
+def from_roots(lead, roots_with_mults):
+    """``lead * prod (z - r)**m`` from (root, multiplicity) pairs."""
+    coeffs = np.array([complex(lead)], dtype=np.complex128)
+    for root, mult in roots_with_mults:
+        factor = np.array([-complex(root), 1.0], dtype=np.complex128)
+        for _ in range(int(mult)):
+            coeffs = np.convolve(coeffs, factor)
+    return ComplexPolynomial(coeffs)
+
+
 def validate(payload, schema_name):
     if not HAVE_JSONSCHEMA:
         pytest.skip("jsonschema not installed")

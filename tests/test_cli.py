@@ -287,6 +287,22 @@ class TestOperatorCommands:
     ["operator", "pairing", "{curve}", "--seed", "5", "--disk-radius", "-1"],
     ["operator", "scan", "{curve}", "--grid-half-width", "0"],
     ["operator", "scan", "{curve}", "--grid-half-width", "-1"],
+    # Non-finite values; only --q-extra's q may be inf.
+    ["analyze", "{curve}", "--seed", "7", "--eps", "nan"],
+    ["analyze", "{curve}", "--seed", "7", "--eps", "inf"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--e-size", "nan"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--disk-radius", "inf"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--e-center", "nan,0,0,0,0,0"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--f-center", "0,0,0,inf,0,0"],
+    ["operator", "ball-measure", "--k-prime", "0", "--x", "nan"],
+    ["operator", "ball-measure", "--k-prime", "0", "--x", "inf"],
+    ["jacobian-check", "{curve}", "--trials", "3", "--seed", "1", "--box-radius", "nan"],
+    ["jacobian-check", "{curve}", "--trials", "3", "--seed", "1", "--margin", "nan"],
+    ["operator", "scan", "{curve}", "--grid-half-width", "nan"],
+    ["operator", "scan", "{curve}", "--dilations", "nan"],
+    ["operator", "scan", "{curve}", "--q-extra", "nan:2"],
+    ["operator", "scan", "{curve}", "--q-extra", "inf:2"],
+    ["operator", "scan", "{curve}", "--q-extra", "2:nan"],
 ])
 def test_out_of_range_option_values_exit_2(tmp_path, moment_curve, args):
     curve_file = str(write_curve(tmp_path, moment_curve))

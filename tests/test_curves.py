@@ -1,14 +1,10 @@
 import numpy as np
-import pytest
 
 from curvetorsion import (
     AffineMap3,
     CurveGamma,
-    SingularAtOrigin,
     affine_apply,
     lambda_weight,
-    normalize_at_origin,
-    offspring_curve,
     torsion_triple,
 )
 from conftest import poly, random_curve
@@ -108,87 +104,6 @@ class TestAffineApply:
             lhs = np.asarray(tt2.L3(z))
             rhs = amap.determinant * np.asarray(tt.L3(z))
             assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(rhs) + 1)
-
-
-class TestNormalizeAtOrigin:
-    def test_moment_to_limiting_form(self, moment_curve):
-        out, amap = normalize_at_origin(moment_curve)
-        assert np.allclose(out.components[0].coeffs, [0, 1], atol=1e-12)
-        assert np.allclose(out.components[1].coeffs, [0, 0, 0.5], atol=1e-12)
-        assert np.allclose(out.components[2].coeffs, [0, 0, 0, 1 / 6], atol=1e-12)
-
-    def test_fixed_point(self, normalized_curve):
-        out, amap = normalize_at_origin(normalized_curve)
-        assert np.allclose(amap.matrix, np.eye(3), atol=1e-12)
-        assert np.allclose(amap.offset, 0, atol=1e-12)
-
-    def test_shifted_curve_postconditions(self):
-        curve = CurveGamma.from_components(poly(1, 1), poly(0, 0, 1), poly(0, 0, 0, 1))
-        out, _ = normalize_at_origin(curve)
-        frame = out.derivative_frame()
-        at0 = np.array([[frame[i][j](0.0) for j in range(3)] for i in range(3)])
-        origin = np.array([c(0.0) for c in out.components])
-        assert np.max(np.abs(at0 - np.eye(3))) < 1e-9
-        assert np.max(np.abs(origin)) < 1e-9
-
-    def test_idempotent(self, rng):
-        for _ in range(10):
-            curve = random_curve(rng, 4)
-            tt = torsion_triple(curve)
-            if tt.degenerate or abs(tt.L3(0.0)) < 1e-6:
-                continue
-            once, _ = normalize_at_origin(curve)
-            twice, _ = normalize_at_origin(once)
-            for a, b in zip(once.components, twice.components):
-                n = max(a.coeffs.size, b.coeffs.size)
-                ca = np.zeros(n, complex)
-                cb = np.zeros(n, complex)
-                ca[: a.coeffs.size] = a.coeffs
-                cb[: b.coeffs.size] = b.coeffs
-                assert np.max(np.abs(ca - cb)) < 1e-9
-
-    def test_singular_at_origin(self):
-        curve = CurveGamma.from_components(poly(0, 0, 1), poly(0, 0, 0, 1), poly(0, 0, 0, 0, 1))
-        with pytest.raises(SingularAtOrigin):
-            normalize_at_origin(curve)
-
-
-class TestOffspring:
-    def test_single_translate_identity(self, moment_curve):
-        out = offspring_curve(moment_curve, [0.0], 1)
-        for a, b in zip(out.components, moment_curve.components):
-            assert np.array_equal(a.coeffs, b.coeffs)
-
-    def test_averaging_with_itself(self, moment_curve):
-        out = offspring_curve(moment_curve, [0.0, 0.0], 2)
-        for a, b in zip(out.components, moment_curve.components):
-            assert np.allclose(a.coeffs, b.coeffs, atol=1e-15)
-
-    def test_binomial_shift_oracle(self, moment_curve):
-        out = offspring_curve(moment_curve, [0.0, 1.0], 2)
-        assert np.allclose(out.components[0].coeffs, [0.5, 1])
-        assert np.allclose(out.components[1].coeffs, [0.5, 1, 1])
-        assert np.allclose(out.components[2].coeffs, [0.5, 1.5, 1.5, 1])
-
-    def test_common_shift_is_reparametrization(self, rng):
-        curve = random_curve(rng, 4)
-        h0 = complex(rng.normal(), rng.normal())
-        out = offspring_curve(curve, [h0, h0, h0], 3)
-        for a, b in zip(out.components, curve.components):
-            assert np.array_equal(a.coeffs, ((1 / 3) * (b.shift(h0) + b.shift(h0) + b.shift(h0))).coeffs)
-            assert np.allclose(a.coeffs, b.shift(h0).coeffs, rtol=1e-12, atol=1e-12)
-
-    def test_offspring_torsion_degree_bound(self, rng):
-        for _ in range(5):
-            curve = random_curve(rng, 5)
-            h = rng.normal(size=3) + 1j * rng.normal(size=3)
-            out = offspring_curve(curve, list(h), 3)
-            tt = torsion_triple(out)
-            assert tt.L3.trimmed(1e-10).degree <= 3 * curve.degree_bound - 6
-
-    def test_length_mismatch(self, moment_curve):
-        with pytest.raises(ValueError):
-            offspring_curve(moment_curve, [0.0], 2)
 
 
 class TestSerialization:

@@ -4,8 +4,14 @@ A name counts as used when some module of the package, the tests or the
 benchmark harness loads it, reads it as an attribute or imports it.  A
 private (``_``-prefixed) name must be used by the package or the benchmark
 harness, not only by the tests: a reference that only a test compares
-against belongs in that test.  Click commands, which are used through their
-group, and dunder names such as ``__all__`` are exempt.
+against belongs in that test.  A public name must be used by a package
+module other than ``__init__.py``, whose re-exports do not count, by the
+benchmark harness, or by the acceptance criteria (``tests/test_acceptance.py``
+and its fixtures in ``tests/conftest.py``).  Click commands, which are used
+through their group, and dunder names such as ``__all__`` are exempt.
+
+Names are matched as text, whatever they are read from: ``operators.convolve``
+counts as used through ``np.convolve``.
 """
 
 import ast
@@ -43,12 +49,15 @@ def _references(tree):
             yield node.name
 
 
-def _used_names(*directories):
+def _referenced_in(paths):
     used = set()
-    for directory in directories:
-        for path in (ROOT / directory).rglob("*.py"):
-            used.update(_references(ast.parse(path.read_text(), str(path))))
+    for path in paths:
+        used.update(_references(ast.parse(path.read_text(), str(path))))
     return used
+
+
+def _used_names(*directories):
+    return _referenced_in(path for d in directories for path in (ROOT / d).rglob("*.py"))
 
 
 def _unused(used, keep=lambda name: True):
@@ -67,3 +76,11 @@ def test_no_dead_module_level_names():
 def test_no_private_names_used_only_by_tests():
     private = lambda name: name.startswith("_")
     assert _unused(_used_names("src", "perfbench"), private) == []
+
+
+def test_no_public_names_used_only_by_tests():
+    public = lambda name: not name.startswith("_")
+    modules = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    criteria = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
+    used = _used_names("perfbench") | _referenced_in(modules + criteria)
+    assert _unused(used, public) == []

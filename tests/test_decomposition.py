@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvetorsion import (
     ApertureTooWide,
@@ -12,9 +13,6 @@ from curvetorsion import (
     admissible,
     affine_retry,
     classify_regions,
-    convexify,
-    d1_decompose,
-    d2_decompose,
     torsion_triple,
 )
 from curvetorsion import curves, decomposition, polynomials, reports
@@ -23,19 +21,17 @@ from curvetorsion.decomposition import (
     Comparability,
     DegenerateTorsion,
     Region,
-    exponent_exclusions_ok,
 )
 from curvetorsion.geometry import (
     clip_halfplane,
     dedupe_vertices,
-    is_convex,
     minimal_arc,
     point_in_polygon,
     square_polygon,
 )
-from curvetorsion.polynomials import ComplexPolynomial
+from curvetorsion.polynomials import ComplexPolynomial, roots
 
-from conftest import poly, validate
+from conftest import from_roots, poly, validate
 
 EPS16 = 2 * math.pi / 112  # aperture pi/56, a divisor of 2*pi below pi/8
 # (z + z^2, z^3, -100 z^2): its first classification has inadmissible regions.
@@ -46,25 +42,64 @@ def region_points(region, n, seed=0):
     return region.sample(n, np.random.default_rng(seed))
 
 
+def is_convex(poly, tol=0.0):
+    """All consecutive edge cross products share one sign (up to tol)."""
+    n = len(poly)
+    if n < 3:
+        return False
+    sign = 0
+    for i in range(n):
+        u = poly[(i + 1) % n] - poly[i]
+        w = poly[(i + 2) % n] - poly[(i + 1) % n]
+        cr = (np.conj(u) * w).imag
+        if abs(cr) <= tol:
+            continue
+        s = 1 if cr > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return True
+
+
+def context(*polys, eps=EPS16):
+    """A decomposition context cutting by the roots of each trimmed
+    polynomial; with none its working radius is 10."""
+    return decomposition._Context.create(
+        {q: roots(q) for q in polys}, eps, decomposition._validate_eps(eps))
+
+
+def sector_cell(ctx, center, theta_range, radial_range):
+    """One convexified annular sector cut from the context's square."""
+    return decomposition._build_region(
+        center, theta_range, radial_range,
+        working_half_width=ctx.half_width, clipped=ctx.square)
+
+
+def d1_cells(q, domain=None, ctx=None):
+    """The first decomposition's (region, Comparability) cells of q."""
+    return list(decomposition._d1_cells(q, domain, ctx or context(q), "d1:"))
+
+
 class TestD1:
     def test_pure_power(self):
         q = poly(0, 0, 0, 1)  # z^3
-        cells = d1_decompose(q, None, EPS16)
+        cells = d1_cells(q)
         assert len(cells) == 112
-        for cell in cells:
-            assert cell.center == 0
-            assert cell.exponent == 3
-            assert cell.constant == 1.0
-            pts = region_points(cell.region, 50)
+        for region, comp in cells:
+            assert comp.center == 0
+            assert comp.k == 3
+            assert comp.c == 1.0
+            pts = region_points(region, 50)
             assert np.allclose(np.abs(q(pts)), np.abs(pts) ** 3, rtol=1e-12)
 
     def test_two_roots_near_layer(self):
         q = poly(0, -10, 1)  # z(z - 10)
-        cells = d1_decompose(q, None, EPS16)
-        near = [c for c in cells if c.center == 0 and c.exponent == 1]
-        assert near and all(abs(c.constant - 10.0) < 1e-9 for c in near)
-        for cell in near[:8]:
-            pts = region_points(cell.region, 200)
+        cells = d1_cells(q)
+        near = [(r, c) for r, c in cells if c.center == 0 and c.k == 1]
+        assert near and all(abs(c.c - 10.0) < 1e-9 for _, c in near)
+        for region, _ in near[:8]:
+            pts = region_points(region, 200)
             pts = pts[np.abs(pts) <= 5.0]
             if pts.size == 0:
                 continue
@@ -73,87 +108,88 @@ class TestD1:
 
     def test_two_roots_far_layer(self):
         q = poly(0, -10, 1)
-        cells = d1_decompose(q, None, EPS16)
-        far = [c for c in cells if c.exponent == 2]
-        assert far and all(c.constant == 1.0 for c in far)
-        for cell in far[:8]:
-            pts = region_points(cell.region, 400)
-            pts = pts[np.abs(pts - cell.center) >= 20.0]
+        cells = d1_cells(q)
+        far = [(r, c) for r, c in cells if c.k == 2]
+        assert far and all(c.c == 1.0 for _, c in far)
+        for region, comp in far[:8]:
+            pts = region_points(region, 400)
+            pts = pts[np.abs(pts - comp.center) >= 20.0]
             if pts.size == 0:
                 continue
-            ratio = np.abs(q(pts)) / np.abs(pts - cell.center) ** 2
+            ratio = np.abs(q(pts)) / np.abs(pts - comp.center) ** 2
             assert np.all(ratio >= 0.5 - 1e-9) and np.all(ratio <= 2.0 + 1e-9)
-
-    def test_rejects_constant(self):
-        with pytest.raises(ValueError):
-            d1_decompose(poly(5), None, EPS16)
 
     def test_eps_not_divisor(self):
         with pytest.raises(EpsNotDivisor):
-            d1_decompose(poly(0, 1), None, 1.0)
+            decomposition._validate_eps(1.0)
+        # 2 pi / 1e-9 = 6,283,185,307.18: a relative 1e-9 alone would pass it.
+        with pytest.raises(EpsNotDivisor):
+            decomposition._validate_eps(1e-9)
+        assert decomposition._validate_eps(decomposition.TAU / 10**9) == 10**9
 
     def test_coverage(self):
         q = poly(0, -10, 1)
-        cells = d1_decompose(q, None, EPS16)
+        cells = d1_cells(q)
         rng = np.random.default_rng(1)
         zs = 30 * (rng.random(2000) * np.exp(2j * np.pi * rng.random(2000)))
         covered = np.zeros(zs.shape, bool)
-        for cell in cells:
-            covered |= cell.region.contains(zs)
+        for region, _ in cells:
+            covered |= region.contains(zs)
         assert covered.all()
 
 
-class TestD2:
-    def _domain(self, center, radius=math.inf):
-        return convexify(center, (0.0, math.pi / 16), (0.0, radius), working_radius=50.0)
+def d2_cells(q, b):
+    """The second decomposition's (region, kind, Comparability) pieces of
+    q around b, on the sector (0, pi/16) at b."""
+    ctx = context(q)
+    domain = sector_cell(ctx, b, (0.0, math.pi / 16), (0.0, math.inf))
+    return list(decomposition._d2_cells(q, b, domain, ctx, "d2:"))
 
+
+class TestD2:
     def test_pure_power_at_own_root(self):
         b = 1.5 + 0.5j
-        q = ComplexPolynomial.from_roots(1.0, [(b, 3)])
-        cells = d2_decompose(q, b, self._domain(b))
+        q = from_roots(1.0, [(b, 3)])
+        cells = d2_cells(q, b)
         assert len(cells) == 1
-        cell = cells[0]
-        assert cell.kind == "gap" and cell.exponent == 3 and abs(cell.constant - 1) < 1e-12
+        _, kind, comp = cells[0]
+        assert kind == "gap" and comp.k == 3 and abs(comp.c - 1) < 1e-12
 
     def test_missing_coefficient_skips_gap_exponent(self):
         # Q(z + b) = z^2 + 1 has no linear term: no gap carries exponent 1
         b = 2.0
-        q = ComplexPolynomial.from_roots(1.0, [(b + 1j, 1), (b - 1j, 1)])
-        cells = d2_decompose(q, b, self._domain(b))
-        gap_exponents = {c.exponent for c in cells if c.kind == "gap"}
+        q = from_roots(1.0, [(b + 1j, 1), (b - 1j, 1)])
+        cells = d2_cells(q, b)
+        gap_exponents = {c.k for _, kind, c in cells if kind == "gap"}
         assert 1 not in gap_exponents
         assert gap_exponents <= {0, 2}
 
     def test_gap_and_dyadic_structure(self):
         q = poly(0, -1, 1)  # z(z - 1)
-        cells = d2_decompose(q, 0.0, self._domain(0.0))
-        kinds = [(c.kind, c.exponent) for c in cells]
+        cells = d2_cells(q, 0.0)
+        kinds = [(kind, c.k) for _, kind, c in cells]
         assert ("gap", 1) in kinds  # inside the unit radius
         assert ("gap", 2) in kinds  # outside
         assert any(k == "dyadic" for k, _ in kinds)
-        for cell in cells:
-            if cell.kind != "gap":
+        for region, kind, comp in cells:
+            if kind != "gap":
                 continue
-            pts = region_points(cell.region, 300)
-            denom = cell.constant * np.abs(pts) ** cell.exponent
+            pts = region_points(region, 300)
+            denom = comp.c * np.abs(pts) ** comp.k
             ratio = np.abs(q(pts)) / denom
             assert np.all(ratio > 0.2) and np.all(ratio < 5.0)
-
-    def test_rejects_constant(self):
-        with pytest.raises(ValueError):
-            d2_decompose(poly(5), 0.0, self._domain(0.0))
 
 
 class TestConvexify:
     def test_disk_sector_triangle(self):
-        region = convexify(1j, (0.1, 0.1 + math.pi / 16), (0.0, 2.0), working_radius=10.0)
+        region = sector_cell(context(), 1j, (0.1, 0.1 + math.pi / 16), (0.0, 2.0))
         assert len(region.polygon) == 3
         assert any(abs(v - 1j) < 1e-9 for v in region.polygon)
         assert is_convex(region.polygon)
 
     def test_trapezoid_and_containment(self):
         theta = (0.3, 0.3 + math.pi / 16)
-        region = convexify(0.0, theta, (1.0, 2.0), working_radius=10.0)
+        region = sector_cell(context(), 0.0, theta, (1.0, 2.0))
         assert len(region.polygon) == 4
         rng = np.random.default_rng(0)
         r = np.sqrt(rng.uniform(1.0, 4.0, 1000))
@@ -166,7 +202,7 @@ class TestConvexify:
             assert 1.0 / B - 1e-12 <= abs(v) <= 2.0 * B + 1e-12
 
     def test_unbounded_tail(self):
-        region = convexify(0.0, (0.0, math.pi / 16), (1.0, math.inf), working_radius=10.0)
+        region = sector_cell(context(), 0.0, (0.0, math.pi / 16), (1.0, math.inf))
         assert region.polygon == ()
         assert region.unbounded
         assert region.radial_range[1] == math.inf
@@ -174,7 +210,7 @@ class TestConvexify:
 
     def test_aperture_too_wide(self):
         with pytest.raises(ApertureTooWide):
-            convexify(0.0, (0.0, math.pi / 4), (1.0, 2.0))
+            sector_cell(context(), 0.0, (0.0, math.pi / 4), (1.0, 2.0))
 
 
 class TestSigmaTable:
@@ -290,12 +326,14 @@ class TestClassify:
                     assert rel <= (t1 - t0) + eps + 1e-9 or rel >= 2 * math.pi - eps - 1e-9
 
     def test_d1_within_domain_region(self):
-        domain = convexify(0.0, (0.0, math.pi / 16), (0.5, 4.0), working_radius=40.0)
-        cells = d1_decompose(poly(2, -3, 1), None, EPS16)  # (z-1)(z-2)
-        clipped = d1_decompose(poly(2, -3, 1), domain, EPS16)
+        q = poly(2, -3, 1)  # (z-1)(z-2)
+        ctx = context(q)
+        domain = sector_cell(ctx, 0.0, (0.0, math.pi / 16), (0.5, 4.0))
+        cells = d1_cells(q, ctx=ctx)
+        clipped = d1_cells(q, domain, ctx)
         assert 0 < len(clipped) < len(cells)
-        for cell in clipped:
-            pts = region_points(cell.region, 100)
+        for region, _ in clipped:
+            pts = region_points(region, 100)
             assert domain.contains(pts).all()
 
     def test_coverage_sampled(self, suite_reports):
@@ -337,8 +375,7 @@ class TestClassifyWalk:
             calls.append(p)
             return real_roots(p, *args, **kwargs)
 
-        for module in (curves, decomposition):
-            monkeypatch.setattr(module, "roots", counting_roots)
+        monkeypatch.setattr(curves, "roots", counting_roots)
         tt = torsion_triple(curve_z3z5)
         rep = classify_regions(tt)
         assert len(tt.singular_points) == 1
@@ -413,24 +450,6 @@ class TestClippedPolygon:
             for r in rep.regions:
                 assert r.clipped == clipped_from(1.25 * rep.working_radius, r.halfplanes), name
 
-    @pytest.mark.parametrize("working_radius", [1.0, 40.0])
-    def test_public_cells_use_their_own_square(self, working_radius):
-        # Roots 0 and 1 give the decomposition a working half width of 12.5,
-        # not the domain's 1.25 * working_radius.
-        q = poly(0, -1, 1)
-        domains = [
-            convexify(0.0, (0.0, math.pi / 16), (0.0, math.inf), working_radius=working_radius),
-            convexify(0.0, (0.0, math.pi / 16), (0.5, 4.0), working_radius=working_radius),
-        ]
-        for domain in domains:
-            cells = d1_decompose(q, domain, EPS16) + d2_decompose(q, 0.0, domain)
-            assert cells
-            for cell in cells:
-                assert cell.region.clipped == clipped_from(12.5, cell.region.halfplanes)
-        # the unbounded outer gap survives when the domain's square is small
-        kinds = [(c.kind, c.exponent) for c in d2_decompose(q, 0.0, domains[0])]
-        assert kinds[-1] == ("gap", 2) and len(kinds) == 3
-
     def test_clip_count_on_retry_curve(self, monkeypatch):
         calls = []
         real_clip = decomposition.clip_halfplane
@@ -485,7 +504,6 @@ class TestAffineRetry:
         assert not torsion_triple(curve2).degenerate
         assert not rep2.inadmissible()
         assert not any(r.region_type == "T10" and r.sigma.k_sub == 1 for r in rep2.regions)
-        assert all(exponent_exclusions_ok(r.sigma) for r in rep2.regions)
         assert rep2.excluded_exponents_log
         assert rep2.excluded_exponents_log[-1]["outcome"] == "accepted"
         validate(reports.decomposition_json(rep2, curve2.to_json()), "decomposition.schema.json")
@@ -513,10 +531,20 @@ class TestAffineRetry:
         assert (reports.canonical_json(reports.decomposition_json(rep3))
                 == reports.canonical_json(reports.decomposition_json(rep2)))
 
-    def test_exclusion_predicate(self):
-        assert not exponent_exclusions_ok(SigmaExponents.from_exponents("T10", 0, 1, 0))
-        assert not exponent_exclusions_ok(SigmaExponents.from_exponents("T00", 2, 1, 2))
-        assert exponent_exclusions_ok(SigmaExponents.from_exponents("T00", 3, 0, 0))
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(k=st.integers(0, 60), k_sub=st.integers(0, 60), k_mid=st.integers(0, 60),
+           i=st.integers(1, 4))
+    def test_excluded_exponent_families_are_inadmissible(self, k, k_sub, k_mid, i):
+        # The families a retry once excluded on top of admissible(): T10 with
+        # k_sub = 1 (band -1.5); T00 with 2 k_mid = k + k_sub + 1 (sigma3 =
+        # -1); T00 with 3 k_sub = k + i (band -i/2).  T10 with 2 k_mid =
+        # -1 - k_sub has no nonnegative member.
+        sigmas = [SigmaExponents.from_exponents("T10", k, 1, k_mid)]
+        if (k + k_sub) % 2:
+            sigmas.append(SigmaExponents.from_exponents("T00", k, k_sub, (k + k_sub + 1) // 2))
+        if 3 * k_sub >= i:
+            sigmas.append(SigmaExponents.from_exponents("T00", 3 * k_sub - i, k_sub, k_mid))
+        assert not any(admissible(sig) for sig in sigmas)
 
 
 # Per-region references: the measurement bodies before they were batched.

@@ -6,7 +6,6 @@ import pytest
 from numpy.polynomial import legendre
 
 from curvetorsion import (
-    AllSamplesZero,
     NonConvergence,
     QuadratureSpec,
     SegmentHitsSingularity,
@@ -14,9 +13,6 @@ from curvetorsion import (
     jacobian_direct,
     jacobian_identity_trials,
     jacobian_integral,
-    phi_alt,
-    phi_sum,
-    sector_contained,
     torsion_triple,
 )
 
@@ -34,35 +30,6 @@ class TestQuadratureSpec:
     def test_minimum_nodes(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_segment=3)
-
-
-class TestPhiMaps:
-    def test_sum_at_origin(self, moment_curve):
-        assert np.allclose(phi_sum(moment_curve, Triple(0, 0, 0)), [0, 0, 0])
-
-    def test_sum_hand_value(self, moment_curve):
-        assert np.allclose(phi_sum(moment_curve, Triple(1, -1, 0)), [0, 2, 0])
-
-    def test_sum_symmetric(self, moment_curve, rng):
-        z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        base = phi_sum(moment_curve, Triple(*z))
-        for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-            assert np.allclose(phi_sum(moment_curve, Triple(*z[list(perm)])), base)
-
-    def test_alt_cancellation(self, moment_curve, rng):
-        z = complex(rng.normal(), rng.normal())
-        w = complex(rng.normal(), rng.normal())
-        out = phi_alt(moment_curve, Triple(z, z, w))
-        assert np.allclose(out, -moment_curve(w))
-
-    def test_alt_hand_value(self, moment_curve):
-        assert np.allclose(phi_alt(moment_curve, Triple(0, 1, 0)), [1, 1, 1])
-
-    def test_alt_is_signed_sum(self, curve_mixed, rng):
-        z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        t = Triple(*z)
-        expected = -curve_mixed(t.z1) + curve_mixed(t.z2) - curve_mixed(t.z3)
-        assert np.allclose(phi_alt(curve_mixed, t), expected)
 
 
 class TestJacobianDirect:
@@ -349,48 +316,3 @@ class TestSlabbedQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-
-
-class TestSectorContained:
-    def test_constant_function(self, suite_reports):
-        _, _, rep = suite_reports["z2z4"]
-        region = rep.regions[0]
-        contained, aperture, witness = sector_contained(
-            lambda z: np.ones_like(z), region, 0.05, 400
-        )
-        assert contained and aperture == 0.0 and witness is None
-
-    def test_identity_on_sector(self):
-        import math
-
-        from curvetorsion import convexify
-
-        region = convexify(0.0, (0.0, math.pi / 16), (0.1, 5.0), working_radius=10.0)
-        contained, aperture, witness = sector_contained(
-            lambda z: z, region, math.pi / 8, 2000
-        )
-        assert contained
-        assert aperture <= math.pi / 16 + 0.05
-
-    def test_witness_on_failure(self):
-        import math
-
-        from curvetorsion import convexify
-
-        region = convexify(0.0, (0.0, math.pi / 16), (0.1, 5.0), working_radius=10.0)
-        contained, aperture, witness = sector_contained(
-            lambda z: z**3, region, math.pi / 32, 2000
-        )
-        assert not contained and witness is not None
-
-    def test_all_zero_raises(self, suite_reports):
-        _, _, rep = suite_reports["z2z4"]
-        with pytest.raises(AllSamplesZero):
-            sector_contained(lambda z: np.zeros_like(z), rep.regions[0], 0.1, 100)
-
-    def test_torsion_on_pipeline_regions(self, suite_reports):
-        _, tt, rep = suite_reports["z3z5"]
-        budget = (tt.L3.degree + 1) * rep.epsilon_used
-        for region in rep.regions[:20]:
-            contained, aperture, _ = sector_contained(tt.L3, region, budget, 2000)
-            assert contained, (region.region_id, aperture, budget)

@@ -12,6 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from curvetorsion.polynomials import ComplexPolynomial, roots
 
+from conftest import from_roots
+
 parts = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 root_lists = st.lists(
     st.tuples(st.builds(complex, parts, parts), st.integers(min_value=1, max_value=3)),
@@ -28,7 +30,7 @@ leads = st.builds(
 @settings(max_examples=100, deadline=None, database=None)
 @given(lead=leads, rs=root_lists)
 def test_from_roots_recovers_roots_and_multiplicities(lead, rs):
-    found = roots(ComplexPolynomial.from_roots(lead, rs)).roots
+    found = roots(from_roots(lead, rs)).roots
     assert len(found) == len(rs)
     for r, mult in rs:
         near = [(z, m) for z, m in found if abs(z - r) <= 1e-6 * (1.0 + abs(r))]

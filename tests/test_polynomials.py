@@ -5,7 +5,7 @@ from numpy.polynomial.legendre import leggauss
 from curvetorsion import DegreeZero, det2, det3, roots
 from curvetorsion.polynomials import ComplexPolynomial, gauss_legendre
 
-from conftest import poly
+from conftest import from_roots, poly
 
 
 class TestEval:
@@ -54,40 +54,40 @@ class TestRoots:
         assert rs.roots == ((-1j, 1), (1j, 1))
 
     def test_triple_root_clusters(self):
-        rs = roots(ComplexPolynomial.from_roots(1, [(1, 3)]))
+        rs = roots(from_roots(1, [(1, 3)]))
         assert len(rs.roots) == 1
         loc, mult = rs.roots[0]
         assert mult == 3
         assert abs(loc - 1) < 1e-9
 
     def test_factored_cubic(self):
-        rs = roots(ComplexPolynomial.from_roots(1, [(0, 1), (1, 1), (4, 1)]))
+        rs = roots(from_roots(1, [(0, 1), (1, 1), (4, 1)]))
         locs = rs.locations()
         assert np.allclose(locs, [0, 1, 4], atol=1e-9)
         assert rs.multiplicities() == (1, 1, 1)
 
     def test_modulus_order(self):
-        rs = roots(ComplexPolynomial.from_roots(2, [(3, 1), (-0.5, 1), (1j, 1)]))
+        rs = roots(from_roots(2, [(3, 1), (-0.5, 1), (1j, 1)]))
         mods = np.abs(rs.locations())
         assert np.all(np.diff(mods) >= -1e-12)
 
     def test_multiplicity_sum(self):
-        p = ComplexPolynomial.from_roots(1.5, [(0, 2), (2 + 1j, 2), (3, 1)])
+        p = from_roots(1.5, [(0, 2), (2 + 1j, 2), (3, 1)])
         rs = roots(p)
-        assert rs.total_multiplicity == p.degree
+        assert sum(rs.multiplicities()) == p.degree
 
     def test_cluster_tol_merges(self):
-        p = ComplexPolynomial.from_roots(1, [(1, 1), (1 + 5e-8, 1)])
+        p = from_roots(1, [(1, 1), (1 + 5e-8, 1)])
         rs = roots(p)
         assert len(rs.roots) == 1 and rs.roots[0][1] == 2
 
     def test_close_but_distinct_stay_separate(self):
-        p = ComplexPolynomial.from_roots(1, [(1, 1), (1 + 1e-4, 1)])
+        p = from_roots(1, [(1, 1), (1 + 1e-4, 1)])
         rs = roots(p)
         assert len(rs.roots) == 2
 
     def test_pairwise_separation_invariant(self):
-        rs = roots(ComplexPolynomial.from_roots(1, [(0, 1), (0.3, 1), (1j, 2)]))
+        rs = roots(from_roots(1, [(0, 1), (0.3, 1), (1j, 2)]))
         locs = rs.locations()
         for i in range(len(locs)):
             for j in range(i + 1, len(locs)):
@@ -102,7 +102,7 @@ class TestRoots:
             deg = int(rng.integers(2, 7))
             p = ComplexPolynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
             rs = roots(p)
-            rec = ComplexPolynomial.from_roots(p.coeffs[-1], rs.roots)
+            rec = from_roots(p.coeffs[-1], rs.roots)
             n = max(rec.coeffs.size, p.coeffs.size)
             a = np.zeros(n, complex)
             b = np.zeros(n, complex)
@@ -151,13 +151,6 @@ class TestProperties:
             lhs = (p * q)(z)
             rhs = p(z) * q(z)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs) + 1)
-
-    def test_shift_matches_evaluation(self, rng):
-        for _ in range(20):
-            p = ComplexPolynomial(rng.normal(size=6) + 1j * rng.normal(size=6))
-            h = complex(rng.normal(), rng.normal())
-            z = rng.normal(size=20) + 1j * rng.normal(size=20)
-            assert np.allclose(p.shift(h)(z), p(z + h), rtol=1e-10, atol=1e-12)
 
     def test_json_roundtrip(self):
         p = poly(1 + 2j, 0, -3.5)

@@ -44,6 +44,14 @@ def ratio_or_none(curve, t):
     return sample.ratio if sample.bound_value > 1e-3 else None
 
 
+def composed(p, inner):
+    """p(inner(z)) by Horner's scheme over polynomials."""
+    out = ComplexPolynomial([0.0])
+    for c in p.coeffs[::-1]:
+        out = out * inner + c
+    return out
+
+
 def assert_same(a, b):
     assert abs(a - b) <= 1e-8 * a
 
@@ -67,8 +75,7 @@ def test_affine_map_of_the_curve(curve, t, entries, offset):
 def test_affine_reparametrization(curve, t, lam, h):
     # g(z) = curve(lam * z + h): J and the bound both scale by |lam|^3
     reparam = CurveGamma.from_components(*(
-        ComplexPolynomial(c.shift(h).coeffs * lam ** np.arange(c.coeffs.size))
-        for c in curve.components
+        composed(c, ComplexPolynomial([h, lam])) for c in curve.components
     ))
     moved = ratio_or_none(reparam, t)
     assume(moved is not None)

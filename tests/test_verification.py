@@ -10,9 +10,9 @@ from curvetorsion import (
     geometric_ratio,
     modulus_comparability_check,
     torsion_triple,
-    triple_integral_bound_check,
     verify_region,
 )
+from curvetorsion import jacobian
 from curvetorsion.curves import AffineMap3, affine_apply, CurveGamma
 from curvetorsion.polynomials import ComplexPolynomial
 
@@ -125,6 +125,27 @@ class TestVerifyRegion:
             verify_region(curve, rep.regions[0], bad, 10, seed=1)
         rep2 = verify_region(curve, rep.regions[0], bad, 10, seed=1, exploratory=True)
         assert rep2.exploratory
+
+
+def triple_integral_bound_check(t, q):
+    """Nested modulus integral against the pairwise-distance product.
+
+    lhs integrates |w2 - w1| over the two outer segments with moduli kept
+    inside; rhs is the product of the three pairwise distances.  Returns
+    (lhs, rhs, ratio) with ratio = lhs / rhs (inf when rhs vanishes but lhs
+    does not, 0 when both vanish).
+    """
+    z1, z2, z3 = map(complex, t)
+    _, wt, w1, w2 = jacobian._outer_segments(z1, z2, z3, q.nodes_per_segment)
+    block = np.abs(w2[None, :] - w1[:, None])
+    inner = abs(z3 - z2) * np.tensordot(block, wt, axes=([1], [0]))
+    lhs = abs(z2 - z1) * float(np.dot(wt, inner))
+    rhs = abs(z3 - z1) * abs(z3 - z2) * abs(z2 - z1)
+    if rhs > 0.0:
+        ratio = lhs / rhs
+    else:
+        ratio = math.inf if lhs > 0.0 else 0.0
+    return lhs, rhs, ratio
 
 
 class TestTripleIntegralBound:
