@@ -2,7 +2,6 @@
 three-dimensional complex polynomial curves."""
 
 from .curves import (
-    AffineMap3,
     CurveGamma,
     TorsionTriple,
     affine_apply,
@@ -65,7 +64,7 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap3", "ApertureTooWide", "BallSpec", "ComplexPolynomial",
+    "ApertureTooWide", "BallSpec", "ComplexPolynomial",
     "CurveGamma", "CurveTorsionError", "DecompositionReport",
     "DegenerateTorsion", "DegenerateTriple", "DegreeZero", "EmptyRegion",
     "EpsNotDivisor", "GridSpec", "MeasurableSet", "NonConvergence", "PQPair",

@@ -100,14 +100,11 @@ def _center(vals) -> tuple:
 
 
 def _pq_pair(text: str) -> PQPair:
-    """'p:q' with a finite p; q may be inf, not nan."""
+    """'p:q' with a finite p; q may be inf, not nan (PQPair checks both)."""
     if text.count(":") != 1:
         raise ValueError(f"expected 'p:q', got {text!r}")
     p_txt, q_txt = text.split(":")
-    p, q = float(p_txt), float(q_txt)
-    if not math.isfinite(p) or math.isnan(q):
-        raise ValueError(f"expected a finite p and a q that is not nan, got {text!r}")
-    return PQPair(p=p, q=q)
+    return PQPair(p=float(p_txt), q=float(q_txt))
 
 
 def _run(command):
@@ -372,15 +369,16 @@ def replay(verification_file, region_id):
             data = json.load(fh)
         curve = CurveGamma.from_json(data["curve"])
         entry = next(r for r in data["reports"] if r["region_id"] == region_id)
-    except (OSError, ValueError, KeyError, StopIteration) as exc:
+        witness = entry["worst_witness"]
+        t = Triple(*(complex(re, im) for re, im in witness["triple"]))
+        stored = float(witness["ratio"])
+    except (OSError, ValueError, KeyError, TypeError, StopIteration) as exc:
         raise _Failure(exc)
-    witness = entry["worst_witness"]
-    t = Triple(*(complex(re, im) for re, im in witness["triple"]))
     sample = geometric_ratio(curve, t)
-    match = abs(sample.ratio - witness["ratio"]) <= 1e-9 * max(1.0, witness["ratio"])
+    match = abs(sample.ratio - stored) <= 1e-9 * max(1.0, stored)
     summary = reports.canonical_json({
         "region_id": region_id,
-        "stored_ratio": witness["ratio"],
+        "stored_ratio": stored,
         "recomputed_ratio": sample.ratio,
         "match": match,
     })

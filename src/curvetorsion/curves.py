@@ -1,4 +1,4 @@
-"""Curves in C^3, their torsion triple, and the affine action on curves.
+"""Curves in C^3, their torsion triple, and the linear action on curves.
 
 A curve is a triple of complex polynomials.  The torsion triple consists of
 the first component's derivative, the 2x2 Wronskian-type determinant of the
@@ -165,44 +165,13 @@ def lambda_weight(tt: TorsionTriple, z):
     return val
 
 
-@dataclass(frozen=True)
-class AffineMap3:
-    """Affine map z -> M z + offset on C^3 with a cached determinant."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-    determinant: complex
-
-    @classmethod
-    def create(cls, matrix, offset=None) -> "AffineMap3":
-        m = np.asarray(matrix, dtype=np.complex128).reshape(3, 3).copy()
-        off = (
-            np.zeros(3, dtype=np.complex128)
-            if offset is None
-            else np.asarray(offset, dtype=np.complex128).reshape(3).copy()
-        )
-        m.setflags(write=False)
-        off.setflags(write=False)
-        return cls(matrix=m, offset=off, determinant=complex(np.linalg.det(m)))
-
-    @classmethod
-    def identity(cls) -> "AffineMap3":
-        return cls.create(np.eye(3))
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix],
-            "offset": [[float(v.real), float(v.imag)] for v in self.offset],
-            "determinant": [float(self.determinant.real), float(self.determinant.imag)],
-        }
-
-
-def affine_apply(curve: CurveGamma, amap: AffineMap3) -> CurveGamma:
-    """Apply an affine map componentwise to the curve."""
+def affine_apply(curve: CurveGamma, matrix) -> CurveGamma:
+    """Apply the 3x3 ``matrix`` componentwise: component i of the result is
+    the sum over j of matrix[i, j] times component j."""
     comps = []
     for i in range(3):
-        acc = ComplexPolynomial([amap.offset[i]])
+        acc = ComplexPolynomial([0j])
         for j in range(3):
-            acc = acc + amap.matrix[i, j] * curve.components[j]
+            acc = acc + matrix[i, j] * curve.components[j]
         comps.append(acc)
     return CurveGamma.from_components(*comps, degree_bound=curve.degree_bound)

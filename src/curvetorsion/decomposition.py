@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveGamma, AffineMap3, TorsionTriple, affine_apply
+from .curves import CurveGamma, TorsionTriple, affine_apply
 from .errors import (
     ApertureTooWide,
     CurveTorsionError,
@@ -44,7 +44,7 @@ from .geometry import (
     sample_fan,
     square_polygon,
 )
-from .polynomials import ComplexPolynomial, _horner_pair
+from .polynomials import _EPS, ComplexPolynomial, _horner_pair
 from .polynomials import _eval_error_bound as _poly_noise_bound
 
 TAU = 2.0 * math.pi
@@ -52,6 +52,8 @@ TAU = 2.0 * math.pi
 THICKENING = 1.1
 DYADIC_FACTOR = 2.0
 MAX_APERTURE = math.pi / 8.0
+# Half-width of the working square as a multiple of the working radius.
+SQUARE_FACTOR = 1.25
 _REFINE_DEPTH_CAP = 48
 # Boundary points per region for the aperture and comparability measurements.
 _REFINE_SAMPLES = 400
@@ -330,7 +332,7 @@ class _Context:
 
     @property
     def half_width(self) -> float:
-        return 1.25 * self.working_radius
+        return SQUARE_FACTOR * self.working_radius
 
     @property
     def square(self) -> tuple:
@@ -573,7 +575,7 @@ def _boundary_grids(regions, n_samples: int) -> _Grids:
     pts = np.repeat(verts, reps) + np.repeat(verts[nxt] - verts, reps) * ts
     counts = n_verts * per_edge
     starts = np.cumsum(counts) - counts
-    pos_err = 64.0 * 2.220446049250313e-16 * (np.maximum.reduceat(np.abs(pts), starts) + 1e-30)
+    pos_err = 64.0 * _EPS * (np.maximum.reduceat(np.abs(pts), starts) + 1e-30)
     seg = np.repeat(np.arange(len(regions)), counts)
     return _Grids(pts, starts, seg, pos_err[seg])
 
@@ -893,23 +895,22 @@ def decompose(curve: CurveGamma, eps: float | None = None, *,
     regions, ctx, polys = _walk(curve.torsion, eps)
     if all(admissible(r.sigma) for r in regions):
         return curve, _finish(regions, ctx, polys, seed)
-    used, _amap, report = _retry_candidates(curve, eps, seed)
+    used, _matrix, report = _retry_candidates(curve, eps, seed)
     return used, report
 
 
-def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
-                 eps: float | None = None):
+def affine_retry(curve: CurveGamma, report: DecompositionReport):
     """Perturb the curve until every region classifies admissibly.
 
-    Candidate maps are I + delta * E_ij over the standard matrix units in
-    row-major order for each delta in _RETRY_DELTAS (determinant 1 or
+    Candidate matrices are I + delta * E_ij over the standard matrix units
+    in row-major order for each delta in _RETRY_DELTAS (determinant 1 or
     1 + delta, so none is singular), applied in a fixed
     order so retried reports are reproducible.  Each candidate is walked
-    at ``eps`` (None picks it from the degrees, as in ``classify_regions``)
+    at the sector width ``classify_regions`` picks from the degrees
     and judged on its walk regions, which already carry every sigma; so
     ``inadmissible_count`` in ``excluded_exponents_log`` counts walk
     regions.  Only the accepted candidate is refined and measured, with
-    the report's seed.  Returns (curve, map, report) for the first fully
+    the report's seed.  Returns (curve, matrix, report) for the first fully
     admissible classification; the identity when the input report is
     already admissible.
 
@@ -919,8 +920,8 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport, *,
         When no candidate in the family yields an admissible report.
     """
     if all(admissible(r.sigma) for r in report.regions):
-        return curve, AffineMap3.identity(), report
-    return _retry_candidates(curve, eps, report.seed)
+        return curve, np.eye(3), report
+    return _retry_candidates(curve, None, report.seed)
 
 
 def _retry_candidates(curve: CurveGamma, eps: float | None, seed: int):
@@ -931,9 +932,8 @@ def _retry_candidates(curve: CurveGamma, eps: float | None, seed: int):
             for j in range(3):
                 mat = np.eye(3, dtype=np.complex128)
                 mat[i, j] += delta
-                amap = AffineMap3.create(mat)
                 candidate = {"delta": delta, "unit": [i, j]}
-                curve2 = affine_apply(curve, amap)
+                curve2 = affine_apply(curve, mat)
                 tt2 = curve2.torsion
                 if tt2.degenerate:
                     log.append({**candidate, "outcome": "degenerate"})
@@ -952,7 +952,7 @@ def _retry_candidates(curve: CurveGamma, eps: float | None, seed: int):
                 if not bad:
                     rep2 = _finish(regions, ctx, polys, seed)
                     rep2.excluded_exponents_log = log
-                    return curve2, amap, rep2
+                    return curve2, mat, rep2
     raise RetriesExhausted(
         f"no admissible classification after {len(log)} perturbations"
     )

@@ -50,20 +50,19 @@ class QuadratureSpec:
             raise ValueError("nodes_per_segment must be at least 4")
 
 
-def _derivative_values(curve: CurveGamma, z) -> list:
-    """[P1'(z), P2'(z), P3'(z)], each an array shaped like z."""
-    zz = np.asarray(z, dtype=np.complex128)
-    return [np.asarray(d(zz)) for d in curve.derivatives]
+def _interleaved_jacobian(curve: CurveGamma, pts: np.ndarray) -> np.ndarray:
+    """Jacobian of the triples (pts[0::3], pts[1::3], pts[2::3]).
+
+    Each derivative is evaluated once on the whole array and then sliced;
+    the values are bitwise those of evaluating each strided slice on its own.
+    """
+    derivs = [d(pts) for d in curve.derivatives]
+    return _det3_entries(*([d[k::3] for d in derivs] for k in range(3)))
 
 
 def jacobian_direct(curve: CurveGamma, t: Triple) -> complex:
     """Determinant of the derivative columns at the three points."""
-    return complex(jacobian_direct_batch(curve, *t))
-
-
-def jacobian_direct_batch(curve: CurveGamma, z1, z2, z3) -> np.ndarray:
-    """Vectorized ``jacobian_direct`` over arrays of triples."""
-    return _det3_entries(*(_derivative_values(curve, z) for z in (z1, z2, z3)))
+    return complex(_interleaved_jacobian(curve, np.array(t, dtype=np.complex128))[0])
 
 
 def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> float:

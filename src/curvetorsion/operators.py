@@ -26,6 +26,7 @@ fixed here and used everywhere.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -59,11 +60,11 @@ class MeasurableSet:
     def __post_init__(self):
         if self.kind not in ("ball", "box"):
             raise ValueError("kind must be 'ball' or 'box'")
-        if self.size <= 0:
-            raise ValueError("size must be positive")
+        if not 0 < self.size < math.inf:
+            raise ValueError("size must be positive and finite")
         center = tuple(complex(c) for c in self.center)
-        if len(center) != 3:
-            raise ValueError("center must have three complex entries")
+        if len(center) != 3 or not all(cmath.isfinite(c) for c in center):
+            raise ValueError("center must have three finite complex entries")
         object.__setattr__(self, "center", center)
 
     @property
@@ -151,8 +152,8 @@ class PQPair:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("exponents must be at least 1")
+        if not (1 <= self.p < math.inf and self.q >= 1):
+            raise ValueError("p must be finite, and both exponents at least 1")
         if self.theta is not None:
             if not 0.0 < self.theta < 1.0:
                 raise ValueError("theta must lie in (0, 1)")
@@ -175,8 +176,8 @@ class BallSpec:
     k_prime: int
 
     def __post_init__(self):
-        if self.x <= 0:
-            raise ValueError("x must be positive")
+        if not 0 < self.x < math.inf:
+            raise ValueError("x must be positive and finite")
         if self.k_prime < 0:
             raise ValueError("k_prime must be nonnegative")
 
@@ -397,6 +398,12 @@ class GridSpec:
 
     half_width: float = 4.0
     points_per_axis: int = 4
+
+    def __post_init__(self):
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("half_width must be positive and finite")
+        if self.points_per_axis < 2:
+            raise ValueError("points_per_axis must be at least 2")
 
     def points(self) -> np.ndarray:
         axis = np.linspace(-self.half_width, self.half_width, self.points_per_axis)

@@ -223,8 +223,12 @@ def _aberth(coeffs: np.ndarray, max_iter: int) -> np.ndarray:
     return x
 
 
-def _polish_simple(coeffs: np.ndarray, x: np.ndarray, iters: int = 4) -> np.ndarray:
-    for _ in range(iters):
+# Newton steps that polish every simple-root iterate.
+_POLISH_STEPS = 4
+
+
+def _polish_simple(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    for _ in range(_POLISH_STEPS):
         p, dp = _horner_pair(coeffs, x)
         mask = np.abs(dp) > 1e-300
         x = np.where(mask, x - p / np.where(mask, dp, 1.0), x)
@@ -239,10 +243,13 @@ CLUSTER_TOL = 1e-7
 # Iterations of the first root-iteration attempt; the second gets four times as many.
 _MAX_ITER = 512
 
+# Most Newton steps taken to refine a cluster center.
+_NEWTON_STEPS = 30
 
-def _newton_on(coeffs: np.ndarray, z0: complex, iters: int = 30) -> complex:
+
+def _newton_on(coeffs: np.ndarray, z0: complex) -> complex:
     z = complex(z0)
-    for _ in range(iters):
+    for _ in range(_NEWTON_STEPS):
         p, dp = _horner_pair(coeffs, np.array([z]))
         if abs(dp[0]) < 1e-300:
             break

@@ -16,7 +16,8 @@ import math
 import os
 from json.encoder import encode_basestring_ascii as _quote
 
-from .decomposition import DYADIC_FACTOR, REGION_BUDGET, THICKENING, DecompositionReport, Region
+from .decomposition import (DYADIC_FACTOR, REGION_BUDGET, SQUARE_FACTOR, THICKENING,
+                            DecompositionReport, Region)
 from .polynomials import CLUSTER_TOL
 
 SCHEMA_VERSION = 1
@@ -273,7 +274,9 @@ def svg_region_map(report: DecompositionReport) -> str:
     exponent triple rides along as a data attribute on each path.
     """
     size = _SVG_SIZE_PX
-    scale = size / (2.0 * 1.25 * report.working_radius)
+    # The working square's width; doubling is exact, so it equals
+    # (2 * SQUARE_FACTOR) * r bit for bit.
+    scale = size / (2.0 * (SQUARE_FACTOR * report.working_radius))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">'

@@ -21,11 +21,11 @@ from .errors import DegenerateTriple, EmptyRegion
 from .jacobian import (
     QuadratureSpec,
     Triple,
+    _interleaved_jacobian,
     _nested_quadrature,
     check_triple_clear,
     jacobian_direct,
 )
-from .polynomials import _det3_entries
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,15 @@ def _interleaved_values(curve: CurveGamma, tt: TorsionTriple, pts: np.ndarray):
     """(bound, Jacobian) of the triples (pts[0::3], pts[1::3], pts[2::3]).
 
     The bound is |L3(z1) L3(z2) L3(z3)|**(1/3) times the three pairwise
-    distances.  L3 and each derivative are evaluated once on the whole array
-    and then sliced; the values are bitwise those of evaluating each strided
-    slice on its own.
+    distances.  L3 is evaluated once on the whole array and then sliced, as
+    ``jacobian_direct``'s kernel does with each derivative; the values are
+    bitwise those of evaluating each strided slice on its own.
     """
     l3 = tt.L3(pts)
-    derivs = [d(pts) for d in curve.derivatives]
     z1, z2, z3 = (pts[k::3] for k in range(3))
     dist = np.abs(z2 - z1) * np.abs(z3 - z1) * np.abs(z3 - z2)
     bound = np.abs(l3[0::3] * l3[1::3] * l3[2::3]) ** (1.0 / 3.0) * dist
-    jac = _det3_entries(*([d[k::3] for d in derivs] for k in range(3)))
-    return bound, jac
+    return bound, _interleaved_jacobian(curve, pts)
 
 
 def geometric_ratio(curve: CurveGamma, t: Triple) -> RatioSample:

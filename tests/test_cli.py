@@ -384,6 +384,19 @@ class TestReplay:
         assert result["stored_ratio"] == 0.49953037108101417
         assert result["recomputed_ratio"] == result["stored_ratio"]
 
+    @pytest.mark.parametrize("entry,error", [
+        ({"region_id": "r"}, "KeyError"),
+        ({"region_id": "r", "worst_witness": {"triple": 5, "ratio": 1.0}}, "TypeError"),
+    ])
+    def test_malformed_report_exit_3(self, tmp_path, moment_curve, entry, error):
+        path = tmp_path / "verification.json"
+        path.write_text(json.dumps({"curve": moment_curve.to_json(), "reports": [entry]}))
+        res = RUNNER.invoke(main, ["replay", str(path), "--region-id", "r"])
+        assert res.exit_code == 3, res.output
+        payload = json.loads(res.output)
+        assert payload["error"]["type"] == error
+        validate(payload, "error.schema.json")
+
 
 class TestSvg:
     def test_one_path_per_region(self, suite_reports):

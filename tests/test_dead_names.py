@@ -12,6 +12,13 @@ through their group, and dunder names such as ``__all__`` are exempt.
 
 Names are matched as text, whatever they are read from: ``operators.convolve``
 counts as used through ``np.convolve``.
+
+Every parameter with a default, on a module-level function or on a method
+of a module-level class, is passed by some call in a package module, the
+benchmark harness or the acceptance criteria, by keyword or by position.
+Calls match the function by name, as text, like the names above; a call
+that unpacks ``*args`` or ``**kwargs`` passes every parameter.  Nested
+functions are exempt.
 """
 
 import ast
@@ -19,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "curvetorsion"
+CRITERIA = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
 
 
 def _definitions(tree):
@@ -69,6 +77,61 @@ def _unused(used, keep=lambda name: True):
     ]
 
 
+def _defaulted_parameters(tree):
+    """(function name, parameter name, call position or None) of each
+    parameter with a default.  A method's call positions skip its receiver
+    (``self`` or ``cls``), as ``obj.method(a)`` passes ``a`` first."""
+    functions = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions += [
+            (node, 0 if _is_staticmethod(node) else 1)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+        ]
+    for func, receiver in functions:
+        positional = func.args.posonlyargs + func.args.args
+        first = len(positional) - len(func.args.defaults)
+        for index in range(first, len(positional)):
+            yield func.name, positional[index].arg, index - receiver
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield func.name, arg.arg, None
+
+
+def _is_staticmethod(func):
+    return any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+               for dec in func.decorator_list)
+
+
+def _passed_arguments(paths):
+    """(function name, keyword or position) of every argument some call
+    passes; ``*args`` and ``**kwargs`` pass the key None."""
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for index, arg in enumerate(node.args):
+                passed.add((name, None if isinstance(arg, ast.Starred) else index))
+            for keyword in node.keywords:
+                passed.add((name, keyword.arg))
+    return passed
+
+
+def test_no_parameter_defaults_no_caller_overrides():
+    modules = sorted(PACKAGE.glob("*.py"))
+    passed = _passed_arguments(modules + sorted((ROOT / "perfbench").rglob("*.py")) + CRITERIA)
+    unpacked = {name for name, key in passed if key is None}
+    dead = [
+        f"{path.stem}.{func}({param})"
+        for path in modules
+        for func, param, position in _defaulted_parameters(ast.parse(path.read_text(), str(path)))
+        if func not in unpacked and (func, param) not in passed and (func, position) not in passed
+    ]
+    assert dead == []
+
+
 def test_no_dead_module_level_names():
     assert _unused(_used_names("src", "tests", "perfbench")) == []
 
@@ -81,6 +144,5 @@ def test_no_private_names_used_only_by_tests():
 def test_no_public_names_used_only_by_tests():
     public = lambda name: not name.startswith("_")
     modules = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    criteria = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
-    used = _used_names("perfbench") | _referenced_in(modules + criteria)
+    used = _used_names("perfbench") | _referenced_in(modules + CRITERIA)
     assert _unused(used, public) == []

@@ -490,17 +490,21 @@ def retry_run():
 class TestAffineRetry:
     def test_already_admissible_is_identity(self, suite_reports):
         curve, _, rep = suite_reports["z3z5"]
-        curve2, amap, rep2 = affine_retry(curve, rep)
+        curve2, matrix, rep2 = affine_retry(curve, rep)
         assert curve2 is curve and rep2 is rep
-        assert np.allclose(amap.matrix, np.eye(3))
+        assert np.array_equal(matrix, np.eye(3))
 
     def test_retry_removes_bad_exponents(self, retry_run):
         # L1 = 1 + 2z, L2 = 6z(1 + z), L3 = 1200: the layer around the L1
         # root classifies as type T10 with k1 = 1, which is inadmissible.
-        rep, (curve2, amap, rep2), _ = retry_run
+        rep, (curve2, matrix, rep2), _ = retry_run
         assert any(r.region_type == "T10" and r.sigma.k_sub == 1 for r in rep.regions)
         assert rep.inadmissible()
-        assert abs(amap.determinant) > 1e-12
+        accepted = rep2.excluded_exponents_log[-1]
+        expected = np.eye(3)
+        expected[tuple(accepted["unit"])] += accepted["delta"]
+        assert np.array_equal(matrix, expected)
+        assert abs(np.linalg.det(matrix)) > 1e-12
         assert not torsion_triple(curve2).degenerate
         assert not rep2.inadmissible()
         assert not any(r.region_type == "T10" and r.sigma.k_sub == 1 for r in rep2.regions)

@@ -326,6 +326,30 @@ class TestPQPair:
             PQPair.from_theta(1.5)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PQPair(p=NAN, q=2.0),
+    lambda: PQPair(p=2.0, q=NAN),
+    lambda: PQPair(p=INF, q=2.0),
+    lambda: BallSpec(x=NAN, k_prime=0),
+    lambda: BallSpec(x=INF, k_prime=0),
+    lambda: MeasurableSet(kind="ball", center=(0, 0, 0), size=NAN),
+    lambda: MeasurableSet(kind="ball", center=(0, complex(NAN, 0), 0), size=1.0),
+    lambda: MeasurableSet(kind="box", center=(0, 0, INF), size=1.0),
+    lambda: GridSpec(half_width=NAN),
+    lambda: GridSpec(half_width=INF),
+    lambda: GridSpec(-1.0, 0),
+    lambda: GridSpec(half_width=1.0, points_per_axis=1),
+], ids=["pq-p-nan", "pq-q-nan", "pq-p-inf", "ball-x-nan", "ball-x-inf", "set-size-nan",
+        "set-center-nan", "set-center-inf", "grid-nan", "grid-inf", "grid-negative",
+        "grid-one-point"])
+def test_non_finite_or_empty_input_records_raise(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestNormRatioScan:
     def test_scan_shapes_and_endpoint_row(self, moment_curve):
         grid = GridSpec(half_width=3.0, points_per_axis=3)

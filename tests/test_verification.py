@@ -13,7 +13,7 @@ from curvetorsion import (
     verify_region,
 )
 from curvetorsion import jacobian
-from curvetorsion.curves import AffineMap3, affine_apply, CurveGamma
+from curvetorsion.curves import affine_apply, CurveGamma
 from curvetorsion.polynomials import ComplexPolynomial
 
 from conftest import random_curve
@@ -64,8 +64,7 @@ class TestGeometricRatio:
             if abs(det) < 1e-3:
                 continue
             m = m / det ** (1 / 3)
-            amap = AffineMap3.create(m)
-            moved = affine_apply(curve, amap)
+            moved = affine_apply(curve, m)
             z = rng.normal(size=3) + 1j * rng.normal(size=3)
             a = geometric_ratio(curve, Triple(*z)).ratio
             b = geometric_ratio(moved, Triple(*z)).ratio
