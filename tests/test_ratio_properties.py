@@ -36,7 +36,15 @@ scales = st.builds(cmath.rect, st.floats(min_value=0.25, max_value=2.0),
 
 
 def ratio_or_none(curve, t):
-    """The ratio, or None when its bound is within reach of 0."""
+    """The ratio, or None when its bound is within reach of 0.
+
+    A point on a zero of L3 makes the bound pure rounding noise, yet the
+    other two L3 factors can lift the product above any absolute cutoff; so
+    each factor is held against L3's coefficient size as well.
+    """
+    l3 = curve.torsion.L3
+    if np.min(np.abs(l3(np.array(t, dtype=np.complex128)))) <= 1e-6 * l3.max_coeff():
+        return None
     try:
         sample = geometric_ratio(curve, t)
     except DegenerateTriple:
