@@ -92,11 +92,17 @@ class CurveGamma:
 
 @dataclass(frozen=True)
 class TorsionTriple:
-    """L1 = P1', L2 = 2x2 leading minor, L3 = full derivative determinant."""
+    """L1 = P1', L2 = 2x2 leading minor, L3 = full derivative determinant.
+
+    ``L3_magnitude`` is the permanent of the frame's coefficient moduli: its
+    coefficients bound those of every product the cofactor expansion sums,
+    so it sets the scale of L3's rounding at each point.
+    """
 
     L1: ComplexPolynomial
     L2: ComplexPolynomial
     L3: ComplexPolynomial
+    L3_magnitude: ComplexPolynomial
     degenerate: bool
 
     def polys(self):
@@ -154,7 +160,12 @@ def torsion_triple(curve: CurveGamma) -> TorsionTriple:
     degenerate = l3.max_coeff() < _ZERO_DET_REL * scale
     if degenerate:
         l3 = ComplexPolynomial([0.0])
-    return TorsionTriple(L1=l1, L2=l2, L3=l3, degenerate=degenerate)
+    (a, b, c), (d, e, f), (g, h, i) = (
+        [ComplexPolynomial(np.abs(p.coeffs)) for p in row] for row in frame
+    )
+    magnitude = a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
+    return TorsionTriple(L1=l1, L2=l2, L3=l3, L3_magnitude=magnitude,
+                         degenerate=degenerate)
 
 
 def lambda_weight(tt: TorsionTriple, z):

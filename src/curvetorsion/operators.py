@@ -413,7 +413,7 @@ class GridSpec:
 
     @property
     def cell_volume(self) -> float:
-        step = 2.0 * self.half_width / max(self.points_per_axis - 1, 1)
+        step = 2.0 * self.half_width / (self.points_per_axis - 1)
         return step**6
 
 

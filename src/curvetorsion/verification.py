@@ -26,6 +26,11 @@ from .jacobian import (
     check_triple_clear,
     jacobian_direct,
 )
+from .polynomials import _eval_error_bound
+
+# Multiple of the Horner bound on L3_magnitude that covers the rounding of
+# L3's coefficients in the cofactor expansion as well as of its evaluation.
+_L3_ROUNDING = 8.0
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,11 @@ def _interleaved_values(curve: CurveGamma, tt: TorsionTriple, pts: np.ndarray):
     The bound is |L3(z1) L3(z2) L3(z3)|**(1/3) times the three pairwise
     distances.  L3 is evaluated once on the whole array and then sliced, as
     ``jacobian_direct``'s kernel does with each derivative; the values are
-    bitwise those of evaluating each strided slice on its own.
+    bitwise those of evaluating each strided slice on its own.  A value of
+    L3 within its rounding of 0 counts as 0, so its triple's bound is 0.
     """
     l3 = tt.L3(pts)
+    l3[np.abs(l3) <= _L3_ROUNDING * _eval_error_bound(tt.L3_magnitude.coeffs, pts)] = 0.0
     z1, z2, z3 = (pts[k::3] for k in range(3))
     dist = np.abs(z2 - z1) * np.abs(z3 - z1) * np.abs(z3 - z2)
     bound = np.abs(l3[0::3] * l3[1::3] * l3[2::3]) ** (1.0 / 3.0) * dist
@@ -78,8 +85,8 @@ def geometric_ratio(curve: CurveGamma, t: Triple) -> RatioSample:
 
     Evaluated by ``verify_region``'s evaluator on the 3-point array, so a
     stored witness recomputes bit for bit.  Raises DegenerateTriple for
-    coincident points or a vanishing torsion value at any of the three
-    points.
+    coincident points or a torsion value within rounding of 0 at any of
+    the three points.
     """
     if t.z1 == t.z2 or t.z2 == t.z3 or t.z1 == t.z3:
         raise DegenerateTriple("triple has coincident points")
@@ -112,7 +119,7 @@ def verify_region(curve: CurveGamma, region: Region, sig: SigmaExponents,
     pts = region.sample(3 * n, rng)
     bound, jac = _interleaved_values(curve, tt, pts)
     jac = np.abs(jac)
-    # A coincident pair makes the distance product, and so the bound, 0.
+    # A coincident pair, or an L3 value at rounding level, makes the bound 0.
     good = (bound > 0.0) & np.isfinite(jac)
     excluded = int(n - int(np.count_nonzero(good)))
     if not np.any(good):

@@ -20,6 +20,12 @@ from conftest import random_curve
 
 Q32 = QuadratureSpec(nodes_per_segment=32)
 
+ROUNDED_ZERO_CURVE = CurveGamma.from_components(
+    ComplexPolynomial([0j, 1.8544136941302112j, 0.375, -1j]),
+    ComplexPolynomial([0j, 1.8544136941302112j, 0.375, -1j, 1j]),
+    ComplexPolynomial([0j, 1, 0j, 1]),
+)
+
 
 class TestGeometricRatio:
     def test_moment_curve_half(self, moment_curve, rng):
@@ -44,6 +50,14 @@ class TestGeometricRatio:
     def test_zero_torsion_point(self, curve_z2z4):
         with pytest.raises(DegenerateTriple):
             geometric_ratio(curve_z2z4, Triple(0.0, 1.0, 2.0))
+
+    def test_torsion_at_rounding_level(self):
+        # L3(0) = 0 exactly, since the first two rows of the frame agree at
+        # 0, but the cofactor expansion leaves ~1e-15 in L3's constant term
+        curve = ROUNDED_ZERO_CURVE
+        assert curve.torsion.L3(0j) != 0
+        with pytest.raises(DegenerateTriple):
+            geometric_ratio(curve, Triple(0j, 1j, 2j))
 
     def test_permutation_invariance(self, curve_mixed, rng):
         import itertools
@@ -220,3 +234,13 @@ def test_verify_region_excludes_coincident_triples(suite_reports):
     assert report.worst_witness.triple in (Triple(0j, 1 + 0j, 2j), Triple(-1 + 0j, 1 + 1j, 2 + 0j))
     assert report.min_ratio == report.worst_witness.ratio
     assert abs(report.min_ratio - 0.5) < 1e-12 and abs(report.max_ratio - 0.5) < 1e-12
+
+
+def test_verify_region_excludes_torsion_at_rounding_level(suite_reports):
+    # the same triples through the region verifier: only the one at 0 goes
+    curve = ROUNDED_ZERO_CURVE
+    pts = [0, 1j, 2j,  0.5, 1j, 2j]
+    sig = suite_reports["moment"][2].regions[0].sigma
+    report = verify_region(curve, _FixedSamples(pts), sig, 2, seed=0)
+    assert report.excluded_count == 1
+    assert report.worst_witness.triple == Triple(0.5 + 0j, 1j, 2j)
