@@ -170,10 +170,7 @@ def torsion_triple(curve: CurveGamma) -> TorsionTriple:
 
 def lambda_weight(tt: TorsionTriple, z):
     """Affine arclength weight |L3(z)|**(1/3); vectorized over z."""
-    val = np.abs(np.asarray(tt.L3(np.asarray(z, dtype=np.complex128)))) ** (1.0 / 3.0)
-    if val.shape == ():
-        return float(val)
-    return val
+    return np.abs(np.asarray(tt.L3(np.asarray(z, dtype=np.complex128)))) ** (1.0 / 3.0)
 
 
 def affine_apply(curve: CurveGamma, matrix) -> CurveGamma:

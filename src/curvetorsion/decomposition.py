@@ -798,12 +798,9 @@ def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
             yield piece, comp, kind == "const"
 
 
-def _walk(tt: TorsionTriple, eps: float | None):
-    """The classification walk of ``classify_regions``, before refinement.
-
-    Returns (regions, ctx, polys): the regions with their type, sigma and
-    comparability, the decomposition context and the trimmed L1, L2, L3.
-    """
+def _setup_walk(tt: TorsionTriple, eps: float | None):
+    """The setup of a classification walk: returns (ctx, polys), the
+    decomposition context and the trimmed L1, L2, L3."""
     if tt.degenerate:
         raise DegenerateTorsion("curve torsion vanishes identically")
     polys = dict(zip(("L1", "L2", "L3"), tt.trimmed))
@@ -817,10 +814,14 @@ def _walk(tt: TorsionTriple, eps: float | None):
         root_sets = tt.root_sets
     except NonConvergence as exc:
         raise RootFindingFailed(str(exc)) from exc
-    ctx = _Context.create(root_sets, eps, m)
-    L1, L2, L3 = polys.values()
+    return _Context.create(root_sets, eps, m), polys
 
-    if d == 0:
+
+def _walk(ctx: _Context, polys: dict):
+    """The classification walk of ``classify_regions``, before refinement:
+    yields the regions with their type, sigma and comparability."""
+    L1, L2, L3 = polys.values()
+    if max(p.degree for p in polys.values()) <= 0:
         whole = _build_region(
             0.0, None, (0.0, math.inf),
             working_half_width=ctx.half_width,
@@ -830,8 +831,8 @@ def _walk(tt: TorsionTriple, eps: float | None):
         whole.comparability = {
             name: Comparability(0j, 0, float(abs(p.coeffs[0]))) for name, p in polys.items()
         }
-        return [whole], ctx, polys
-    regions = []
+        yield whole
+        return
     for cell3, comp3 in _d1_cells(L3, None, ctx, "L3:"):
         for piece1, comp1, t1 in _split_by(L1, comp3.center, cell3, ctx, "L1"):
             for region, comp2, t2 in _split_by(L2, comp1.center, piece1, ctx, "L2"):
@@ -840,8 +841,17 @@ def _walk(tt: TorsionTriple, eps: float | None):
                 k_sub = 0 if rtype == "T01" else comp1.k
                 region.sigma = SigmaExponents.from_exponents(rtype, comp3.k, k_sub, comp2.k)
                 region.comparability = {"L3": comp3, "L1": comp1, "L2": comp2}
-                regions.append(region)
-    return regions, ctx, polys
+                yield region
+
+
+def _admissible_walk(ctx: _Context, polys: dict) -> list | None:
+    """The walk's regions, or None at its first inadmissible region."""
+    regions = []
+    for region in _walk(ctx, polys):
+        if not admissible(region.sigma):
+            return None
+        regions.append(region)
+    return regions
 
 
 def _finish(regions, ctx: _Context, polys: dict, seed: int) -> DecompositionReport:
@@ -878,10 +888,12 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
        sigma, so the walk already decides admissibility.
     3. Measure: the comparability ratio extremes of every refined region.
 
+    The walk runs whole, so inadmissible regions are reported too.
     ``eps`` None picks 2*pi / (28 * (d + 1)) for the largest degree d.
     Raises RootFindingFailed when a root extraction of the triple fails.
     """
-    return _finish(*_walk(tt, eps), seed)
+    ctx, polys = _setup_walk(tt, eps)
+    return _finish(_walk(ctx, polys), ctx, polys, seed)
 
 
 def decompose(curve: CurveGamma, eps: float | None = None, *,
@@ -889,11 +901,12 @@ def decompose(curve: CurveGamma, eps: float | None = None, *,
     """Classify ``curve``, or its first ``affine_retry`` candidate when a
     walk region is inadmissible; returns (curve used, report).
 
-    The curve is walked once and, when every region is admissible, that
-    walk is finished; otherwise no report of the curve itself is built.
+    The curve's walk stops at its first inadmissible region; a walk with
+    none is finished, otherwise no report of the curve itself is built.
     """
-    regions, ctx, polys = _walk(curve.torsion, eps)
-    if all(admissible(r.sigma) for r in regions):
+    ctx, polys = _setup_walk(curve.torsion, eps)
+    regions = _admissible_walk(ctx, polys)
+    if regions is not None:
         return curve, _finish(regions, ctx, polys, seed)
     used, _matrix, report = _retry_candidates(curve, eps, seed)
     return used, report
@@ -906,13 +919,18 @@ def affine_retry(curve: CurveGamma, report: DecompositionReport):
     in row-major order for each delta in _RETRY_DELTAS (determinant 1 or
     1 + delta, so none is singular), applied in a fixed
     order so retried reports are reproducible.  Each candidate is walked
-    at the sector width ``classify_regions`` picks from the degrees
-    and judged on its walk regions, which already carry every sigma; so
-    ``inadmissible_count`` in ``excluded_exponents_log`` counts walk
-    regions.  Only the accepted candidate is refined and measured, with
-    the report's seed.  Returns (curve, matrix, report) for the first fully
-    admissible classification; the identity when the input report is
-    already admissible.
+    at the sector width ``classify_regions`` picks from the degrees and
+    judged on its walk regions, which already carry every sigma; its walk
+    stops at the first inadmissible region.  ``excluded_exponents_log``
+    records each candidate's delta, unit and outcome.  Only the accepted
+    candidate is refined and measured, with the report's seed.  Returns
+    (curve, matrix, report) for the first fully admissible classification;
+    the identity when the input report is already admissible.
+
+    A candidate whose walk would raise only after its first inadmissible
+    region is logged ``inadmissible``, not ``failed``.  At a validated eps
+    the walk's region construction does not raise, so no known curve
+    shows this.
 
     Raises
     ------
@@ -939,20 +957,18 @@ def _retry_candidates(curve: CurveGamma, eps: float | None, seed: int):
                     log.append({**candidate, "outcome": "degenerate"})
                     continue
                 try:
-                    regions, ctx, polys = _walk(tt2, eps)
+                    ctx, polys = _setup_walk(tt2, eps)
+                    regions = _admissible_walk(ctx, polys)
                 except CurveTorsionError as exc:
                     log.append({**candidate, "outcome": f"failed:{type(exc).__name__}"})
                     continue
-                bad = sum(not admissible(r.sigma) for r in regions)
-                log.append({
-                    **candidate,
-                    "outcome": "accepted" if not bad else "inadmissible",
-                    "inadmissible_count": bad,
-                })
-                if not bad:
-                    rep2 = _finish(regions, ctx, polys, seed)
-                    rep2.excluded_exponents_log = log
-                    return curve2, mat, rep2
+                if regions is None:
+                    log.append({**candidate, "outcome": "inadmissible"})
+                    continue
+                log.append({**candidate, "outcome": "accepted"})
+                rep2 = _finish(regions, ctx, polys, seed)
+                rep2.excluded_exponents_log = log
+                return curve2, mat, rep2
     raise RetriesExhausted(
         f"no admissible classification after {len(log)} perturbations"
     )

@@ -190,7 +190,6 @@ def region_json(region: Region) -> dict:
         "parent_voronoi": int(region.parent_voronoi),
         "unbounded": bool(region.unbounded),
         "sector_flag": bool(region.sector_flag),
-        "band_scale": None,
         "sigma": None
         if sigma is None
         else {

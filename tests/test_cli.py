@@ -111,15 +111,15 @@ class TestAnalyze:
         curve = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
         curve_file = write_curve(tmp_path, curve)
         seen = []
-        real_walk = decomposition._walk
+        real_setup = decomposition._setup_walk
 
-        def failing_walk(tt, eps):
+        def failing_setup(tt, eps):
             seen.append(eps)
             if len(seen) == 1:  # the curve itself, classified before the retry
-                return real_walk(tt, eps)
+                return real_setup(tt, eps)
             raise RootFindingFailed("candidate refused")
 
-        monkeypatch.setattr(decomposition, "_walk", failing_walk)
+        monkeypatch.setattr(decomposition, "_setup_walk", failing_setup)
         eps = math.pi / 8
         res = RUNNER.invoke(main, ["analyze", str(curve_file), "--seed", "2",
                                    "--eps", repr(eps), "--out", str(tmp_path / "out")])

@@ -38,6 +38,13 @@ EPS16 = 2 * math.pi / 112  # aperture pi/56, a divisor of 2*pi below pi/8
 RETRY_CURVE = CurveGamma.from_components(poly(0, 1, 1), poly(0, 0, 0, 1), poly(0, 0, -100))
 
 
+def full_walk(tt, eps):
+    """(regions, ctx, polys): every region of the classification walk, with
+    its context and the trimmed L1, L2, L3."""
+    ctx, polys = decomposition._setup_walk(tt, eps)
+    return list(decomposition._walk(ctx, polys)), ctx, polys
+
+
 def region_points(region, n, seed=0):
     return region.sample(n, np.random.default_rng(seed))
 
@@ -397,7 +404,7 @@ class TestClassifyWalk:
             return real_trimmed(p, *args)
 
         monkeypatch.setattr(ComplexPolynomial, "trimmed", counting_trimmed)
-        _, _, polys = decomposition._walk(tt, None)
+        _, _, polys = full_walk(tt, None)
         assert calls == []
         assert tuple(polys.values()) == tt.trimmed
 
@@ -415,10 +422,10 @@ class TestClassifyWalk:
             assert payload["dyadic_factor"] == decomposition.DYADIC_FACTOR
             assert payload["cluster_tol"] == polynomials.CLUSTER_TOL
             assert payload["region_budget"] == decomposition.REGION_BUDGET
-            assert all(r["band_scale"] is None for r in payload["regions"])
+            assert not any("band_scale" in r for r in payload["regions"])
 
     def test_all_four_types_on_retry_curve(self):
-        regions, _, _ = decomposition._walk(torsion_triple(RETRY_CURVE), math.pi / 8)
+        regions, _, _ = full_walk(torsion_triple(RETRY_CURVE), math.pi / 8)
         assert {r.region_type for r in regions} == {"T00", "T01", "T10", "T11"}
         for r in regions:
             assert r.sigma.consistent()
@@ -459,7 +466,7 @@ class TestClippedPolygon:
             return real_clip(poly, anchor, normal)
 
         monkeypatch.setattr(decomposition, "clip_halfplane", counting_clip)
-        decomposition._walk(torsion_triple(RETRY_CURVE), math.pi / 8)
+        full_walk(torsion_triple(RETRY_CURVE), math.pi / 8)
         assert 0 < len(calls) < 8000
 
 
@@ -517,9 +524,27 @@ class TestAffineRetry:
         _, (_, _, rep2), counts = retry_run
         log = rep2.excluded_exponents_log
         assert [e["outcome"] for e in log] == ["inadmissible", "inadmissible", "accepted"]
-        assert [e["inadmissible_count"] for e in log] == [740, 1360, 0]
+        assert not any("inadmissible_count" in e for e in log)
         assert counts == {"refined": 1, "measured": rep2.region_count}
         assert rep2.region_count == 56
+
+    def test_decompose_stops_each_rejected_walk_early(self, monkeypatch):
+        # The curve and the two rejected candidates stop at their 4th walk
+        # region, the first inadmissible one; the accepted candidate walks
+        # all 56.  Walked whole, the four walks drew 14,098 regions.
+        drawn = []
+        real = SigmaExponents.from_exponents
+
+        def counting(*args):
+            drawn.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(SigmaExponents, "from_exponents", counting)
+        used, rep = decomposition.decompose(RETRY_CURVE)
+        assert len(drawn) == 68
+        assert rep.excluded_exponents_log[-1] == {
+            "delta": 0.01, "unit": [0, 2], "outcome": "accepted"}
+        assert used is not RETRY_CURVE and not rep.inadmissible()
 
     def test_decompose_finishes_an_admissible_walk(self, suite_reports):
         curve, _, rep = suite_reports["z3z5"]
@@ -638,9 +663,9 @@ def _refined(regions):
 def _refine_mixed(curve):
     """The mixed curve's walk regions refined, and fresh walk regions with
     the context and polynomials for a reference run."""
-    walked, ctx, polys = decomposition._walk(curve.torsion, None)
+    walked, ctx, polys = full_walk(curve.torsion, None)
     got = decomposition._refine_regions(walked, polys, ctx)
-    return got, decomposition._walk(curve.torsion, None)[0], ctx, polys
+    return got, full_walk(curve.torsion, None)[0], ctx, polys
 
 
 class TestBatchedMeasurement:
@@ -656,7 +681,7 @@ class TestBatchedMeasurement:
         reports = [r for _, _, r in suite_reports.values()] + [rep, rep2]
         out = []
         for tt, report in zip(triples, reports):
-            walked, _, polys = decomposition._walk(tt, report.epsilon_used)
+            walked, _, polys = full_walk(tt, report.epsilon_used)
             regions = walked + report.regions
             regions = [dataclasses.replace(r) for r in regions[::1 + len(regions) // 1000]]
             out.append((
