@@ -372,6 +372,8 @@ def replay(verification_file, region_id):
         witness = entry["worst_witness"]
         t = Triple(*(complex(re, im) for re, im in witness["triple"]))
         stored = float(witness["ratio"])
+        if not np.isfinite([stored, *t]).all():
+            raise ValueError("the stored worst witness is not finite")
     except (OSError, ValueError, KeyError, TypeError, StopIteration) as exc:
         raise _Failure(exc)
     sample = geometric_ratio(curve, t)

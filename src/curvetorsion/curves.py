@@ -28,7 +28,11 @@ TRIM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class CurveGamma:
-    """Polynomial curve (P1, P2, P3) with a degree bound N."""
+    """Polynomial curve (P1, P2, P3) with a degree bound N.
+
+    Raises ValueError for a component count other than three, a
+    non-finite coefficient, or a degree bound below the largest degree.
+    """
 
     components: tuple
     degree_bound: int
@@ -40,6 +44,8 @@ class CurveGamma:
             c if isinstance(c, ComplexPolynomial) else ComplexPolynomial(c)
             for c in self.components
         )
+        if not all(np.isfinite(c.coeffs).all() for c in comps):
+            raise ValueError("curve coefficients must be finite")
         object.__setattr__(self, "components", comps)
         max_deg = max(c.degree for c in comps)
         if self.degree_bound < max(max_deg, 1):

@@ -147,7 +147,8 @@ def jacobian_integral(curve: CurveGamma, t: Triple, q: QuadratureSpec, *,
 
     Node counts double until two consecutive evaluations agree to
     _REL_TOL relative (or, when set, the absolute floor ``abs_tol``);
-    failure to stabilize within ``max_doublings`` raises NonConvergence.
+    a pass that is not finite, or failure to stabilize within
+    ``max_doublings``, raises NonConvergence.
     Raises SegmentHitsSingularity when a zero of L1 or L2 lies within
     ``singularity_margin`` of the swept segments.  ``tt`` defaults to
     ``curve.torsion``.  Each pass builds its n^3 grid in slabs of whole
@@ -157,11 +158,18 @@ def jacobian_integral(curve: CurveGamma, t: Triple, q: QuadratureSpec, *,
     if tt is None:
         tt = curve.torsion
     check_triple_clear(tt, t, singularity_margin)
+
+    def quadrature(n):
+        value = _nested_quadrature(tt, t, n)
+        if not np.isfinite(value):
+            raise NonConvergence(f"quadrature pass with {n} nodes is not finite")
+        return value
+
     n = q.nodes_per_segment
-    prev = _nested_quadrature(tt, t, n)
+    prev = quadrature(n)
     for _ in range(max_doublings):
         n *= 2
-        cur = _nested_quadrature(tt, t, n)
+        cur = quadrature(n)
         if abs(cur - prev) <= max(_REL_TOL * max(abs(cur), 1e-12), abs_tol):
             return cur
         prev = cur

@@ -188,14 +188,17 @@ def _eval_error_bound(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (2 * k + 1) * _EPS * _magnitude_bound(coeffs, z)
 
 
-def _residual_budget(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Residual level below which an iterate counts as a converged root.
+def _at_noise_level(coeffs: np.ndarray, z: complex, slack: float = 1.0) -> bool:
+    """Whether |p(z)| is within ``slack`` times the residual level below
+    which an iterate counts as a converged root.
 
-    Combines the Horner roundoff bound with the value swing a
+    The level combines the Horner roundoff bound with the value swing a
     position error of a few ulps produces through the derivative.
     """
-    swing = 4.0 * _EPS * (1.0 + np.abs(z)) * _magnitude_bound(_power_rule(coeffs), z)
-    return 64.0 * (_eval_error_bound(coeffs, z) + swing)
+    zz = np.array([z])
+    swing = 4.0 * _EPS * (1.0 + np.abs(zz)) * _magnitude_bound(_power_rule(coeffs), zz)
+    level = 64.0 * (_eval_error_bound(coeffs, zz) + swing)
+    return abs(_horner_pair(coeffs, zz)[0][0]) <= slack * float(level[0]) + 1e-290
 
 
 def _aberth(coeffs: np.ndarray, max_iter: int) -> np.ndarray:
@@ -235,8 +238,6 @@ def _polish_simple(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-_CLUSTER_KAPPA = 2.0**10
-
 # Distance below which root iterates always merge into one multiple root.
 CLUSTER_TOL = 1e-7
 
@@ -266,40 +267,19 @@ def _cluster_points(monic: np.ndarray, points: np.ndarray, scale: float):
     Points within CLUSTER_TOL of each other always merge.  Beyond that,
     a candidate cluster of size m merges only when it is numerically
     indistinguishable from an m-fold root: the derivatives of order
-    0..m-2 must vanish, at noise level, at the cluster center.  The center
-    is refined by Newton iteration on the (m-1)-st derivative, which has a
-    simple root there (the iterates themselves scatter over a radius like
-    eps**(1/m) around a multiple root; the refined center recovers full
-    precision).  Order m-1 itself is skipped: it vanishes at the refined
-    center by construction.
+    0..m-2 must vanish at the cluster center, within 16 times the residual
+    level a simple root must reach.  The center is refined by Newton
+    iteration on the (m-1)-st derivative, which has a simple root there
+    (the iterates themselves scatter over a radius like eps**(1/m) around
+    a multiple root; the refined center recovers full precision).  Order
+    m-1 itself is skipped: it vanishes at the refined center by
+    construction.
 
-    Returns a list of (points, center, multiplicity) clusters.
+    Returns a list of (points, center) clusters.
     """
     deriv = [monic]
     for _ in range(monic.size - 1):
         deriv.append(_power_rule(deriv[-1]))
-
-    def refined_center(pts):
-        m = len(pts)
-        mu = sum(pts) / m
-        if m == 1:
-            return mu
-        return _newton_on(deriv[m - 1], mu)
-
-    def acceptable(pts, mu):
-        m = len(pts)
-        z = np.array([mu])
-        for j in range(m - 1):
-            val = abs(_horner_pair(deriv[j], z)[0][0])
-            swing = 0.0
-            if j + 1 < len(deriv):
-                swing = 4.0 * _EPS * (1.0 + abs(mu)) * float(
-                    _magnitude_bound(deriv[j + 1], z)[0]
-                )
-            bound = _CLUSTER_KAPPA * (float(_eval_error_bound(deriv[j], z)[0]) + swing)
-            if val > bound + 1e-290:
-                return False
-        return True
 
     clusters = [([p], complex(p)) for p in points]
     cap = CLUSTER_TOL + 5e-2 * scale
@@ -314,8 +294,10 @@ def _cluster_points(monic: np.ndarray, points: np.ndarray, scale: float):
             if dist > cap:
                 break
             pts = clusters[i][0] + clusters[j][0]
-            mu = refined_center(pts)
-            if dist <= CLUSTER_TOL or acceptable(pts, mu):
+            m = len(pts)
+            mu = _newton_on(deriv[m - 1], sum(pts) / m)
+            if dist <= CLUSTER_TOL or all(_at_noise_level(deriv[k], mu, 16.0)
+                                          for k in range(m - 1)):
                 clusters[i] = (pts, mu)
                 del clusters[j]
                 merged = True
@@ -350,11 +332,8 @@ def roots(p: ComplexPolynomial) -> RootSet:
         # Multi-point clusters validated themselves when they merged;
         # singles must sit at a residual of evaluation-noise size.
         for pts, center in clusters:
-            if len(pts) == 1:
-                z = np.array([center])
-                val = abs(_horner_pair(monic, z)[0][0])
-                if val > float(_residual_budget(monic, z)[0]) + 1e-290:
-                    return None
+            if len(pts) == 1 and not _at_noise_level(monic, center):
+                return None
         return clusters
 
     clusters = attempt(_MAX_ITER)
@@ -379,17 +358,8 @@ def det2(m) -> ComplexPolynomial:
 
 
 def det3(m) -> ComplexPolynomial:
-    """Determinant of a 3x3 matrix of polynomials by cofactor expansion.
-
-    Two coefficient-identical rows short-circuit to the exact zero
-    polynomial (the alternating property holds with no rounding residue).
-    """
-    rows = [tuple(row) for row in m]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if all(np.array_equal(rows[i][k].coeffs, rows[j][k].coeffs) for k in range(3)):
-                return ComplexPolynomial([0.0])
-    return _det3_entries(*zip(*rows))
+    """Determinant of a 3x3 matrix of polynomials by cofactor expansion."""
+    return _det3_entries(*zip(*m))
 
 
 def _det3_entries(c1, c2, c3):

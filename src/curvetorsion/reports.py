@@ -4,8 +4,11 @@ All writers are deterministic: keys are sorted, floats use repr, nothing
 embeds timestamps or environment data, so identical inputs produce
 byte-identical files.  Canonical JSON is the text the standard library's
 ``json`` module writes with ``sort_keys=True, indent=2, allow_nan=False``,
-plus a final newline, byte for byte; it is streamed to the file a few
-thousand pieces at a time instead of being built whole first.
+plus a final newline, byte for byte, for values of type ``str``, ``int``,
+``float`` (subclasses such as ``numpy.float64`` included), ``bool``,
+``None``, ``list``, ``tuple`` and ``dict`` with ``str`` keys; it is streamed
+to the file a few thousand pieces at a time instead of being built whole
+first.  Any other value or key type raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -44,24 +47,13 @@ def _float_text(x) -> str:
     return float.__repr__(x)
 
 
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True or key is False or key is None:
-        return _LITERALS[key]
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _write_canonical(obj, write) -> None:
     """Write the canonical JSON text of ``obj`` through ``write``.
 
-    Exact types are dispatched first; subclasses (``numpy.float64`` is a
-    ``float``) fall back to ``isinstance`` in the order ``json`` tests them.
-    NaN and infinities raise ``ValueError``, any other type ``TypeError``.
+    Values are dispatched on their exact type; the one subclass accepted is
+    a ``float``'s (``numpy.float64``).  NaN and infinities raise
+    ``ValueError``, any other type ``TypeError``, and so does a key that is
+    not a ``str``.
     """
     pieces = []
     put = pieces.append
@@ -84,16 +76,8 @@ def _write_canonical(obj, write) -> None:
             mapping(o, depth)
         elif t is list or t is tuple:
             sequence(o, depth)
-        elif isinstance(o, str):
-            put(_quote(o))
-        elif isinstance(o, int):
-            put(int.__repr__(o))
         elif isinstance(o, float):
             put(_float_text(o))
-        elif isinstance(o, (list, tuple)):
-            sequence(o, depth)
-        elif isinstance(o, dict):
-            mapping(o, depth)
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -120,7 +104,7 @@ def _write_canonical(obj, write) -> None:
         for key, item in sorted(o.items()):
             put(sep)
             sep = comma
-            put(_quote(_key_text(key)))
+            put(_quote(key))
             put(": ")
             value(item, depth + 1)
             if len(pieces) >= _PIECES_PER_WRITE:

@@ -200,6 +200,30 @@ class TestJacobianCheck:
         validate(payload, "error.schema.json")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_draws_end_after_one_pass(self, tmp_path, monkeypatch, curve_mixed):
+        # Every draw from this box overflows, so its first quadrature pass is
+        # not finite; the draw is excluded there instead of being doubled to
+        # 512 nodes, which took about 10 s a draw.
+        passes = []
+        real = jacobian._nested_quadrature
+
+        def counting(tt, t, n, *args):
+            passes.append(n)
+            return real(tt, t, n, *args)
+
+        monkeypatch.setattr(jacobian, "_nested_quadrature", counting)
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["jacobian-check", str(write_curve(tmp_path, curve_mixed)),
+                                   "--trials", "2", "--seed", "1", "--box-radius", "1e200",
+                                   "--out", str(out)])
+        assert res.exit_code == 5, res.output
+        payload = json.loads((out / "jacobian_check.json").read_text())
+        assert (payload["passes"], payload["failures"]) == (0, 0)
+        assert payload["excluded_count"] == 600
+        assert passes == [16] * 600
+
     def test_zero_trials_usage_error(self, tmp_path, moment_curve):
         curve_file = write_curve(tmp_path, moment_curve)
         res = RUNNER.invoke(main, ["jacobian-check", str(curve_file), "--trials", "0",
@@ -313,6 +337,30 @@ def test_out_of_range_option_values_exit_2(tmp_path, moment_curve, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("args", [
+    ["analyze", "{curve}", "--seed", "7"],
+    ["jacobian-check", "{curve}", "--trials", "3", "--seed", "1"],
+    ["operator", "pairing", "{curve}", "--seed", "5", "--n-mc", "100"],
+    ["operator", "scan", "{curve}"],
+    ["operator", "extension-endpoint", "{curve}", "--seed", "2", "--points", "1"],
+])
+def test_non_finite_curve_coefficients_exit_3(tmp_path, moment_curve, args, bad):
+    # json reads the literals NaN and Infinity, which json.dumps writes.
+    data = moment_curve.to_json()
+    data["components"][1][2] = [bad, 0.0]
+    curve_file = tmp_path / "curve.json"
+    curve_file.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    res = RUNNER.invoke(main, [str(curve_file) if a == "{curve}" else a for a in args]
+                        + ["--out", str(out)])
+    assert res.exit_code == 3, res.output
+    payload = json.loads(res.output)
+    assert payload["error"]["type"] == "ValueError"
+    validate(payload, "error.schema.json")
+    assert not out.exists()
+
+
 class TestReplay:
     def test_replay_matches(self, tmp_path, moment_curve):
         curve_file = write_curve(tmp_path, moment_curve)
@@ -383,6 +431,29 @@ class TestReplay:
         result = json.loads(res.output)
         assert result["stored_ratio"] == 0.49953037108101417
         assert result["recomputed_ratio"] == result["stored_ratio"]
+
+    def test_non_finite_witness_exit_3(self, tmp_path, curve_z2z4):
+        out = tmp_path / "out"
+        res = RUNNER.invoke(main, ["analyze", str(write_curve(tmp_path, curve_z2z4)),
+                                   "--seed", "7", "--samples", "20", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text = (out / "verification.json").read_text()
+        for path, bad in [(["ratio"], math.nan), (["triple", 0, 0], math.nan),
+                          (["triple", 2, 1], math.inf), (["triple", 1, 0], -math.inf)]:
+            data = json.loads(text)
+            entry = data["reports"][0]
+            target = entry["worst_witness"]
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = bad
+            bad_file = tmp_path / "bad.json"
+            bad_file.write_text(json.dumps(data))
+            res = RUNNER.invoke(main, ["replay", str(bad_file), "--region-id",
+                                       entry["region_id"]])
+            assert res.exit_code == 3, (path, res.output)
+            payload = json.loads(res.output)
+            assert payload["error"]["type"] == "ValueError"
+            validate(payload, "error.schema.json")
 
     @pytest.mark.parametrize("entry,error", [
         ({"region_id": "r"}, "KeyError"),

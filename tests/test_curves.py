@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from curvetorsion import (
     CurveGamma,
@@ -22,6 +23,23 @@ class TestTorsionTriple:
         tt = torsion_triple(curve)
         assert tt.degenerate
         assert tt.L3.degree == -1
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
+    def test_equal_components_degenerate(self, pair, rng):
+        # Equal components give equal frame rows; the cofactor expansion may
+        # leave a rounding residue, which torsion_triple maps to L3 = 0.
+        i, j = pair
+        for _ in range(200):
+            comps = list(random_curve(rng, int(rng.integers(2, 7))).components)
+            comps[j] = comps[i]
+            tt = torsion_triple(CurveGamma.from_components(*comps))
+            assert tt.degenerate
+            assert tt.L3.degree == -1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CurveGamma.from_components(poly(0, 1), poly(0, 0, bad), poly(0, 0, 0, 1))
 
     def test_normalized_curve_unit_torsion(self, normalized_curve):
         tt = torsion_triple(normalized_curve)

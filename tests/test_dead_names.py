@@ -1,4 +1,5 @@
-"""Every module-level function, class and assignment of the package is used.
+"""Every module-level function, class and assignment of the package is used,
+and so is every method and property of its module-level classes.
 
 A name counts as used when some module of the package, the tests or the
 benchmark harness loads it, reads it as an attribute or imports it.  A
@@ -8,7 +9,9 @@ against belongs in that test.  A public name must be used by a package
 module other than ``__init__.py``, whose re-exports do not count, by the
 benchmark harness, or by the acceptance criteria (``tests/test_acceptance.py``
 and its fixtures in ``tests/conftest.py``).  Click commands, which are used
-through their group, and dunder names such as ``__all__`` are exempt.
+through their group, and dunder names such as ``__all__`` and
+``__post_init__`` are exempt.  A method is matched by its name alone, as
+text, so ``CurveGamma.to_json`` counts as used through any ``.to_json``.
 
 Names are matched as text, whatever they are read from: ``operators.convolve``
 counts as used through ``np.convolve``.
@@ -30,16 +33,23 @@ CRITERIA = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py
 
 
 def _definitions(tree):
+    """(label, name) of each module-level definition, and of each method
+    and property of a module-level class other than a dunder."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not any(_is_click_command(dec) for dec in node.decorator_list):
-                yield node.name
+                yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not method.name.startswith("__")):
+                        yield f"{node.name}.{method.name}", method.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name) and not name.id.startswith("__"):
-                        yield name.id
+                        yield name.id, name.id
 
 
 def _is_click_command(decorator):
@@ -70,9 +80,9 @@ def _used_names(*directories):
 
 def _unused(used, keep=lambda name: True):
     return [
-        f"{path.stem}.{name}"
+        f"{path.stem}.{label}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name in _definitions(ast.parse(path.read_text(), str(path)))
+        for label, name in _definitions(ast.parse(path.read_text(), str(path)))
         if keep(name) and name not in used
     ]
 

