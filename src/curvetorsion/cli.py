@@ -94,6 +94,17 @@ def _comma_list(item, count=None):
     return callback
 
 
+def _require_finite(option: str, what: str, compute):
+    """A usage error of ``option`` when ``compute()``, the ``what`` the
+    command derives from the option's value, overflows."""
+    try:
+        finite = math.isfinite(compute())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise click.BadParameter(f"the {what} overflows.", param_hint=f"'{option}'")
+
+
 def _center(vals) -> tuple:
     """Three complex entries from six reals (re1,im1,...)."""
     return tuple(complex(re, im) for re, im in zip(vals[0::2], vals[1::2]))
@@ -253,9 +264,12 @@ def operator():
 def operator_pairing(curve_file, seed, n_mc, disk_radius, e_kind, e_center,
                      e_size, f_kind, f_center, f_size):
     """Restricted weak-type pairing estimate for a set pair."""
-    curve = _load_curve(curve_file)
     E = MeasurableSet(kind=e_kind, center=_center(e_center), size=e_size)
     F = MeasurableSet(kind=f_kind, center=_center(f_center), size=f_size)
+    _require_finite("--e-size", "volume of E", lambda: E.volume)
+    _require_finite("--f-size", "volume of F", lambda: F.volume)
+    _require_finite("--disk-radius", "disk's area", lambda: math.pi * disk_radius**2)
+    curve = _load_curve(curve_file)
     rep = pairing(curve, E, F, disk_radius, n_mc, seed)
     payload = reports.artifact("weak_type", curve=curve.to_json(), seed=seed,
                                disk_radius=disk_radius, set_e=E.to_json(),

@@ -35,9 +35,6 @@ from .errors import (
 from .geometry import (
     clip_halfplane,
     dedupe_vertices,
-    dist_point_segment,
-    ensure_ccw,
-    halfplane_value,
     minimal_arc,
     point_in_polygon,
     polygon_area,
@@ -135,18 +132,17 @@ class Comparability(NamedTuple):
 class Region:
     """A convex cell of the plane, described around its current center.
 
-    ``halfplanes`` hold every linear constraint (Voronoi bisectors, sector
-    edges, convexification tangent and chord, inherited parent constraints);
-    ``sampling_polygon`` is the clipped convex boundary, for unbounded
-    sector tails its working-radius truncation.  ``clipped`` is the working
-    square clipped by ``halfplanes`` in order, before vertex dedupe;
-    children are cut from it.
+    ``clipped`` is the working square cut, in order, by every linear
+    constraint of the cell and its ancestors (Voronoi bisectors, sector
+    edges, convexification tangent and chord), before vertex dedupe;
+    children are cut from it.  ``sampling_polygon`` is ``clipped`` with
+    near-duplicate vertices merged: the counterclockwise convex boundary,
+    for unbounded sector tails its working-square truncation.
     """
 
     center: complex
     theta_range: tuple | None
     radial_range: tuple
-    halfplanes: tuple
     sampling_polygon: tuple
     clipped: tuple
     parent_voronoi: int
@@ -170,14 +166,9 @@ class Region:
         return () if self.unbounded else self.sampling_polygon
 
     def contains(self, z):
-        """Membership by the center/sector/radius constraint set, to 1e-9
-        times the constraint normal's scale; vectorized."""
-        zz = np.asarray(z, dtype=np.complex128)
-        ok = np.ones(zz.shape, dtype=bool)
-        for anchor, normal in self.halfplanes:
-            scale = max(1.0, abs(normal))
-            ok &= halfplane_value(zz, anchor, normal) >= -1e-9 * scale
-        return ok
+        """Membership in the sampling polygon, to a distance of 1e-9 from
+        each edge; vectorized."""
+        return point_in_polygon(z, self.sampling_polygon, tol=1e-9)
 
     def sample(self, n: int, rng) -> np.ndarray:
         """n uniform points of the sampling polygon, drawn from its triangle
@@ -241,16 +232,17 @@ def _build_region(
     working_half_width: float,
     clipped,
     thickening: float = THICKENING,
-    halfplanes=(),
     region_id: str = "",
     parent_voronoi: int = 0,
     depth: int = 0,
 ) -> Region | None:
     """Convexify one annular sector and cut it from ``clipped``, the working
-    square already clipped by the inherited ``halfplanes``.
+    square already cut by every inherited constraint.
 
-    Returns None when the cell is empty.  A full circle (theta_range None)
-    adds no half plane.  The tangent/chord construction needs
+    Returns None when the cell is empty.  Clipping keeps the square's
+    counterclockwise order, so a polygon of negative area is a rounding
+    sliver and is dropped with the empty ones.  A full circle (theta_range
+    None) adds no half plane.  The tangent/chord construction needs
     cos(aperture / 2) >= 1 / thickening, which holds for apertures up to
     pi/8 with THICKENING = 1.1.
     """
@@ -282,7 +274,7 @@ def _build_region(
 
     clipped = _cut(clipped, new)
     scale = max(working_half_width, abs(b) + (r_hi if math.isfinite(r_hi) else 0.0), 1e-30)
-    poly = dedupe_vertices(ensure_ccw(clipped), 1e-13 * scale)
+    poly = dedupe_vertices(clipped, 1e-13 * scale)
     if len(poly) < 3 or polygon_area(poly) <= (1e-14 * scale) ** 2:
         return None
 
@@ -294,7 +286,6 @@ def _build_region(
         center=b,
         theta_range=theta_range,
         radial_range=(r_lo, r_hi),
-        halfplanes=tuple(halfplanes) + tuple(new),
         sampling_polygon=poly,
         clipped=clipped,
         parent_voronoi=parent_voronoi,
@@ -380,28 +371,19 @@ def _halfdistance_layers(j: int, locs: np.ndarray, mults, lead_abs: float):
 
 
 def _domain_window(b: complex, domain: Region | None, m: int, eps: float):
-    """Indices of the sectors around b that can meet the domain, and the
-    range (dmin, dmax) of the domain's distances from b."""
+    """Indices, in increasing order, of the sectors around b that can meet
+    the domain."""
     if domain is None:
-        return range(m), 0.0, math.inf
+        return range(m)
     poly = domain.sampling_polygon
-    verts = np.asarray(poly, dtype=np.complex128)
-    dmax = math.inf if domain.unbounded else float(np.max(np.abs(verts - b)))
     if point_in_polygon(np.asarray([b]), poly, tol=1e-12)[0]:
-        return range(m), 0.0, dmax
-    dmin = min(
-        dist_point_segment(b, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))
-    )
-    angles = np.angle(verts - b)
+        return range(m)
+    angles = np.angle(np.asarray(poly, dtype=np.complex128) - b)
     aperture, i_lo, _ = minimal_arc(angles)
     start = float(np.mod(angles[i_lo], TAU))
-    lo = start - 1.5 * eps
-    hi = start + aperture + 1.5 * eps
-    if hi - lo >= TAU:
-        return range(m), dmin, dmax
-    n0 = math.floor(lo / eps)
-    n1 = math.ceil(hi / eps)
-    return sorted({idx % m for idx in range(n0, n1 + 1)}), dmin, dmax
+    n0 = math.floor((start - 1.5 * eps) / eps)
+    n1 = math.ceil((start + aperture + 1.5 * eps) / eps)
+    return sorted({idx % m for idx in range(n0, n1 + 1)})
 
 
 def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
@@ -437,7 +419,6 @@ def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
     lead_abs = float(abs(Q.coeffs[-1]))
     m = ctx.m_sectors
     outer = ctx.square if domain is None else domain.clipped
-    extra_domain = () if domain is None else domain.halfplanes
     for j in range(len(mults)):
         b = locs[j]
         vor = tuple(
@@ -445,19 +426,15 @@ def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
         )
         voronoi_cell = _cut(outer, vor)
         layers = _halfdistance_layers(j, locs, mults, lead_abs)
-        sector_ids, dmin, dmax = _domain_window(b, domain, m, eps)
-        for n in sector_ids:
+        for n in _domain_window(b, domain, m, eps):
             theta = (n * eps, (n + 1) * eps)
             for li, (lo, hi, k, c) in enumerate(layers):
-                if hi < dmin / 1.5 or lo > dmax * 1.5:
-                    continue
                 region = _build_region(
                     b,
                     theta,
                     (lo, hi),
                     working_half_width=ctx.half_width,
                     clipped=voronoi_cell,
-                    halfplanes=extra_domain + vor,
                     region_id=f"{id_prefix}v{j}.s{n}.l{li}",
                     parent_voronoi=j,
                 )
@@ -534,7 +511,6 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
             (lo2, hi2),
             working_half_width=ctx.half_width,
             clipped=domain.clipped,
-            halfplanes=domain.halfplanes,
             region_id=f"{domain.region_id}|{id_prefix}{kind[0]}{idx}",
             parent_voronoi=domain.parent_voronoi,
         )
@@ -676,7 +652,6 @@ def _split_region(region: Region, ctx):
             thickening=min(region.thickening, _child_thickening(theta)),
             working_half_width=ctx.half_width,
             clipped=region.clipped,
-            halfplanes=region.halfplanes,
             region_id=f"{region.region_id}.r{i}",
             parent_voronoi=region.parent_voronoi,
             depth=region.depth + 1,

@@ -11,22 +11,19 @@ import math
 import numpy as np
 
 
-def halfplane_value(z, anchor: complex, normal: complex):
-    """Signed distance-like value; nonnegative inside the half plane."""
-    return ((z - anchor) * np.conj(normal)).real
-
-
 def clip_halfplane(poly, anchor: complex, normal: complex):
     """Sutherland-Hodgman clip of a convex polygon against one half plane.
 
-    Works in Python ``complex``, with each vertex's half-plane value
-    computed once.  This changes no bit against numpy scalars: Python's
-    complex product and numpy's scalar one both evaluate (ac - bd, ad + bc)
-    rounding every product and sum on its own, with no fused multiply-add
-    (numpy's SIMD array loops can round differently), so each value and
-    each intersection point equals what ``halfplane_value`` and the same
-    lerp give on numpy scalar vertices.  Returns Python ``complex``
-    vertices.
+    The output keeps the input's vertex order, so a counterclockwise
+    polygon stays counterclockwise up to rounding on slivers.  Works in
+    Python ``complex``, with each vertex's half-plane value
+    Re(conj(normal) * (v - anchor)) computed once.  This changes no bit
+    against numpy scalars: Python's complex product and numpy's scalar one
+    both evaluate (ac - bd, ad + bc) rounding every product and sum on its
+    own, with no fused multiply-add (numpy's SIMD array loops can round
+    differently), so each value and each intersection point equals what
+    the same formula and lerp give on numpy scalar vertices.  Returns
+    Python ``complex`` vertices.
     """
     pts = [complex(v) for v in poly]
     anchor = complex(anchor)
@@ -58,12 +55,6 @@ def polygon_area(poly) -> float:
     return float(0.5 * np.sum(p.imag))
 
 
-def ensure_ccw(poly):
-    if polygon_area(poly) < 0:
-        return tuple(reversed(poly))
-    return tuple(poly)
-
-
 def dedupe_vertices(poly, tol: float):
     out = []
     for v in poly:
@@ -75,7 +66,8 @@ def dedupe_vertices(poly, tol: float):
 
 
 def point_in_polygon(z, poly, tol: float = 0.0):
-    """Membership in a CCW convex polygon; vectorized over z."""
+    """Membership in a CCW convex polygon: a point is inside when its signed
+    distance to every edge is at least -tol; vectorized over z."""
     zz = np.asarray(z, dtype=np.complex128)
     inside = np.ones(zz.shape, dtype=bool)
     n = len(poly)
@@ -83,7 +75,7 @@ def point_in_polygon(z, poly, tol: float = 0.0):
         a = poly[i]
         b = poly[(i + 1) % n]
         edge = b - a
-        inside &= ((zz - a) * np.conj(1j * edge)).real >= -tol
+        inside &= ((zz - a) * np.conj(1j * edge)).real >= -tol * abs(edge)
     return inside
 
 
@@ -167,12 +159,18 @@ def dist_point_segment(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * ab))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dist_point_triangle(p: complex, a: complex, b: complex, c: complex) -> float:
-    """Distance from p to the (possibly degenerate) triangle hull of a, b, c."""
+    """Distance from p to the (possibly degenerate) triangle hull of a, b, c.
+
+    NaN when an edge's squared length or a cross product with p overflows:
+    the distance is then not known, and a NaN compares as not clear.
+    """
     cross = lambda u, v: (np.conj(u) * v).imag
-    d1 = cross(b - a, p - a)
-    d2 = cross(c - b, p - b)
-    d3 = cross(a - c, p - c)
+    edges = (b - a, c - b, a - c)
+    d1, d2, d3 = (cross(e, p - v) for e, v in zip(edges, (a, b, c)))
+    if not np.isfinite([d1, d2, d3, *((e * np.conj(e)).real for e in edges)]).all():
+        return math.nan
     if (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0):
         area = abs(cross(b - a, c - a))
         span = max(abs(b - a), abs(c - b), abs(a - c), 1e-300)
@@ -200,6 +198,7 @@ def _dist_points_segments(p, a, b):
 _SCREEN_RTOL = 1e-9
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hulls_within(p, a, b, c, margin: float) -> np.ndarray:
     """Which triangle hulls (a[k], b[k], c[k]) come clearly within
     ``margin`` of one of the points ``p``, in one vectorized pass.
@@ -212,16 +211,20 @@ def _hulls_within(p, a, b, c, margin: float) -> np.ndarray:
     when a distance is below ``margin`` by _SCREEN_RTOL times the margin
     plus the coordinates' size, which covers that: rounding can only leave
     a hull unflagged, never flag one that the scalar test keeps clear.
+    An edge's squared length or a cross product that overflows, which makes
+    the scalar distance NaN, flags the hull here too.
     """
     p = np.asarray(p, dtype=np.complex128)[None, :]
     a, b, c = (np.asarray(v, dtype=np.complex128)[:, None] for v in (a, b, c))
     dist = np.minimum(_dist_points_segments(p, a, b), _dist_points_segments(p, b, c))
     np.minimum(dist, _dist_points_segments(p, c, a), out=dist)
-    pos = neg = True
+    pos = neg = finite = True
     for u, v in ((b - a, p - a), (c - b, p - b), (a - c, p - c)):
         cross = u.real * v.imag - u.imag * v.real
         pos = pos & (cross > 0.0)
         neg = neg & (cross < 0.0)
+        finite = finite & np.isfinite(cross) & np.isfinite(u.real * u.real + u.imag * u.imag)
     dist[pos | neg] = 0.0
     reach = np.abs(p) + np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-    return np.any(dist < margin - _SCREEN_RTOL * (margin + reach), axis=1)
+    clear = finite & (dist >= margin - _SCREEN_RTOL * (margin + reach))
+    return ~np.all(clear, axis=1)

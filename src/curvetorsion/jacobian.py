@@ -71,15 +71,17 @@ def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> fl
     All integration segments (the two outer ones and the inner family they
     sweep) lie inside the hull, so one distance test covers them all.
 
-    Raises SegmentHitsSingularity below the margin.
+    Raises SegmentHitsSingularity below the margin, and when a distance is
+    NaN (the hull's coordinates overflow it).
     """
     best = math.inf
     for p in tt.singular_points:
-        best = min(best, dist_point_triangle(p, t.z1, t.z2, t.z3))
-        if best < margin:
+        dist = dist_point_triangle(p, t.z1, t.z2, t.z3)
+        if not dist >= margin:
             raise SegmentHitsSingularity(
-                f"integrand pole within {best:.3e} of an integration segment"
+                f"integrand pole within {dist:.3e} of an integration segment"
             )
+        best = min(best, dist)
     return best
 
 

@@ -82,10 +82,6 @@ class MeasurableSet:
         coords = np.concatenate([delta.real, delta.imag], axis=-1)
         return np.max(np.abs(coords), axis=-1) <= self.size
 
-    def sample(self, n: int, rng) -> np.ndarray:
-        """(n, 3) complex points uniform in the set."""
-        return self.place(*self.draw(n, rng))
-
     def draw(self, n: int, rng) -> tuple:
         """The random arrays behind n points, each with n rows.
 

@@ -27,7 +27,6 @@ from curvetorsion.geometry import (
     dedupe_vertices,
     minimal_arc,
     point_in_polygon,
-    square_polygon,
 )
 from curvetorsion.polynomials import ComplexPolynomial, roots
 
@@ -440,22 +439,27 @@ class TestClassifyWalk:
         assert any(r.comparability["L1"].k > 0 for r in regions if r.region_type == "T01")
 
 
-def clipped_from(half_width, halfplanes):
-    """The working square clipped by each half plane in order."""
-    poly = square_polygon(0.0, half_width)
-    for anchor, normal in halfplanes:
-        poly = clip_halfplane(poly, anchor, normal)
-    return poly
+class TestContains:
+    """``Region.contains`` is membership in the sampling polygon."""
+
+    def test_sampled_points_inside(self, suite_reports):
+        for name, (_, _, rep) in suite_reports.items():
+            for i, r in enumerate(rep.regions):
+                pts = r.sample(50, np.random.default_rng([77, i]))
+                assert r.contains(pts).all(), (name, r.region_id)
+
+    def test_points_beyond_each_edge_outside(self, suite_reports):
+        for name, (_, _, rep) in suite_reports.items():
+            for r in rep.regions:
+                v = np.asarray(r.sampling_polygon)
+                edge = np.roll(v, -1) - v
+                # Counterclockwise, so the outward normal is -i times the edge.
+                beyond = v + 0.5 * edge - 1e-6j * edge / np.abs(edge)
+                assert not r.contains(beyond).any(), (name, r.region_id)
 
 
 class TestClippedPolygon:
-    """Each region keeps the working square clipped by its half planes, and
-    children are cut from their parent's polygon only."""
-
-    def test_suite_regions(self, suite_reports):
-        for name, (_, _, rep) in suite_reports.items():
-            for r in rep.regions:
-                assert r.clipped == clipped_from(1.25 * rep.working_radius, r.halfplanes), name
+    """Children are cut from their parent's polygon only."""
 
     def test_clip_count_on_retry_curve(self, monkeypatch):
         calls = []

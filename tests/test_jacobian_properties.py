@@ -92,6 +92,17 @@ def test_screen_decides_seeded_draws_like_the_scalar_test(seed, curve_mixed, cur
     assert flagged.tolist() == scalar
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_hull_is_not_clear(curve_mixed):
+    # The pole -1/3 of the mixed curve lies 0.24 from this hull's edge
+    # through the origin, but the hull's squared edge lengths overflow, and
+    # so the distance comes out as 7.6e199 when they go unchecked.
+    tri = (1e200 - 1e200j, -1e200 + 1e200j, 3e199 + 7e199j)
+    poles = curve_mixed.torsion.singular_points
+    assert scalar_excludes(poles, tri, 0.35)
+    assert _hulls_within(poles, *([v] for v in tri), 0.35).all()
+
+
 coefficients = st.builds(complex, coords, coords)
 
 

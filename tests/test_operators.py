@@ -44,7 +44,7 @@ class TestMeasurableSet:
 
     def test_membership_and_sampling(self, rng):
         ball = MeasurableSet(kind="ball", center=(1, 1j, 0), size=1.5)
-        pts = ball.sample(2000, rng)
+        pts = ball.place(*ball.draw(2000, rng))
         assert ball.contains(pts).all()
         far = pts + 100.0
         assert not ball.contains(far).any()
@@ -165,7 +165,7 @@ class TestMonteCarloChunks:
     def test_sample_matches_reference(self, kind):
         S = MeasurableSet(kind=kind, center=(1, 1j, 0), size=1.5)
         for n in (1, self.N_MC):
-            got = S.sample(n, np.random.default_rng(4))
+            got = S.place(*S.draw(n, np.random.default_rng(4)))
             assert got.tobytes() == _reference_sample(S, n, np.random.default_rng(4)).tobytes()
 
     @pytest.mark.parametrize("seed", [5, 11, 12])

@@ -13,12 +13,7 @@ from hypothesis import given, settings, strategies as st
 from curvetorsion.curves import CurveGamma
 from curvetorsion.decomposition import Region
 from curvetorsion.errors import EmptyRegion
-from curvetorsion.geometry import (
-    clip_halfplane,
-    halfplane_value,
-    polygon_area,
-    sample_fan,
-)
+from curvetorsion.geometry import clip_halfplane, polygon_area, sample_fan
 from curvetorsion.jacobian import Triple, _interleaved_jacobian, jacobian_direct
 from curvetorsion.polynomials import ComplexPolynomial, _det3_entries
 from curvetorsion.verification import _interleaved_values
@@ -43,7 +38,7 @@ def convex_polygons(draw, min_size=3, max_size=8):
 
 
 def region_of(poly):
-    return Region(center=0j, theta_range=None, radial_range=(0.0, math.inf), halfplanes=(),
+    return Region(center=0j, theta_range=None, radial_range=(0.0, math.inf),
                   sampling_polygon=tuple(poly), clipped=tuple(poly), parent_voronoi=0,
                   region_id="test", unbounded=False, thickening=1.1)
 
@@ -177,6 +172,11 @@ def test_polygon_without_area_raises_before_drawing(poly):
     with pytest.raises(EmptyRegion, match="no area"):
         region_of(poly).sample(100, rng)
     assert rng.bit_generator.state == state
+
+
+def halfplane_value(z, anchor, normal):
+    """Re(conj(normal) * (z - anchor)): nonnegative inside the half plane."""
+    return ((z - anchor) * np.conj(normal)).real
 
 
 def reference_clip(poly, anchor, normal):
