@@ -16,9 +16,9 @@ import numpy as np
 from .errors import SegmentHitsSingularity
 from .polynomials import ComplexPolynomial, det2, det3, roots
 
-# Coefficient-residue factor below which a computed determinant counts as
-# identically zero (cancellation in the cofactor expansion is exact in theory
-# but rounded in practice).
+# L3 counts as identically zero when its largest coefficient is at most this
+# factor of L3_magnitude's: cancellation in the cofactor expansion is exact in
+# theory but rounded in practice.  Both sides scale alike with the curve.
 _ZERO_DET_REL = 1e-10
 
 # Relative size below which trailing coefficients of the torsion triple are
@@ -102,7 +102,7 @@ class TorsionTriple:
 
     ``L3_magnitude`` is the permanent of the frame's coefficient moduli: its
     coefficients bound those of every product the cofactor expansion sums,
-    so it sets the scale of L3's rounding at each point.
+    so it sets the scale of L3's rounding, at each point and in ``degenerate``.
     """
 
     L1: ComplexPolynomial
@@ -152,24 +152,20 @@ class TorsionTriple:
 def torsion_triple(curve: CurveGamma) -> TorsionTriple:
     """Build the torsion triple of a curve.
 
-    A degenerate curve (L3 with all coefficients at cancellation level) is
-    returned flagged, not rejected.
+    A degenerate curve (L3 within _ZERO_DET_REL of L3_magnitude, at any
+    scale) is returned flagged, with L3 = 0, not rejected.
     """
     frame = curve.derivative_frame()
     l1 = frame[0][0]
     l2 = det2([[frame[0][0], frame[0][1]], [frame[1][0], frame[1][1]]])
-    l3 = det3(frame)
-    scale = 1.0
-    for j in range(3):
-        col_max = max(frame[i][j].max_coeff() for i in range(3))
-        scale *= max(col_max, 1.0)
-    degenerate = l3.max_coeff() < _ZERO_DET_REL * scale
-    if degenerate:
-        l3 = ComplexPolynomial([0.0])
     (a, b, c), (d, e, f), (g, h, i) = (
         [ComplexPolynomial(np.abs(p.coeffs)) for p in row] for row in frame
     )
     magnitude = a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
+    l3 = det3(frame)
+    degenerate = l3.max_coeff() <= _ZERO_DET_REL * magnitude.max_coeff()
+    if degenerate:
+        l3 = ComplexPolynomial([0.0])
     return TorsionTriple(L1=l1, L2=l2, L3=l3, L3_magnitude=magnitude,
                          degenerate=degenerate)
 

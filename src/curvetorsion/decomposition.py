@@ -41,8 +41,7 @@ from .geometry import (
     sample_fan,
     square_polygon,
 )
-from .polynomials import _EPS, ComplexPolynomial, _horner_pair
-from .polynomials import _eval_error_bound as _poly_noise_bound
+from .polynomials import _EPS, ComplexPolynomial, _eval_error_bound, _horner_pair
 
 TAU = 2.0 * math.pi
 
@@ -115,7 +114,7 @@ class SigmaExponents:
 
 def admissible(sig: SigmaExponents) -> bool:
     """Exponent triples the geometric lower bound is proved for."""
-    s1, s2, s3 = sig.sigma
+    _, s2, s3 = sig.sigma
     band = s2 + s3 / 2.0
     return s3 != -1 and (band < -2.0 or band >= 0.0)
 
@@ -132,19 +131,17 @@ class Comparability(NamedTuple):
 class Region:
     """A convex cell of the plane, described around its current center.
 
-    ``clipped`` is the working square cut, in order, by every linear
-    constraint of the cell and its ancestors (Voronoi bisectors, sector
-    edges, convexification tangent and chord), before vertex dedupe;
-    children are cut from it.  ``sampling_polygon`` is ``clipped`` with
-    near-duplicate vertices merged: the counterclockwise convex boundary,
-    for unbounded sector tails its working-square truncation.
+    ``sampling_polygon`` is the parent's polygon cut by the cell's own
+    linear constraints (Voronoi bisectors, sector edges, convexification
+    tangent and chord), near-duplicate vertices merged: the counterclockwise
+    convex boundary, for unbounded sector tails its working-square
+    truncation.  Children are cut from it.
     """
 
     center: complex
     theta_range: tuple | None
     radial_range: tuple
     sampling_polygon: tuple
-    clipped: tuple
     parent_voronoi: int
     region_id: str
     unbounded: bool
@@ -236,8 +233,8 @@ def _build_region(
     parent_voronoi: int = 0,
     depth: int = 0,
 ) -> Region | None:
-    """Convexify one annular sector and cut it from ``clipped``, the working
-    square already cut by every inherited constraint.
+    """Convexify one annular sector and cut it from ``clipped``: the parent's
+    sampling polygon, or at the top the working square or a Voronoi cell.
 
     Returns None when the cell is empty.  Clipping keeps the square's
     counterclockwise order, so a polygon of negative area is a rounding
@@ -272,9 +269,8 @@ def _build_region(
         if math.isfinite(r_hi):
             new.append((b + (B * r_hi * math.cos(aperture / 2.0)) * em, -em))
 
-    clipped = _cut(clipped, new)
     scale = max(working_half_width, abs(b) + (r_hi if math.isfinite(r_hi) else 0.0), 1e-30)
-    poly = dedupe_vertices(clipped, 1e-13 * scale)
+    poly = dedupe_vertices(_cut(clipped, new), 1e-13 * scale)
     if len(poly) < 3 or polygon_area(poly) <= (1e-14 * scale) ** 2:
         return None
 
@@ -287,7 +283,6 @@ def _build_region(
         theta_range=theta_range,
         radial_range=(r_lo, r_hi),
         sampling_polygon=poly,
-        clipped=clipped,
         parent_voronoi=parent_voronoi,
         region_id=region_id,
         unbounded=unbounded,
@@ -418,7 +413,7 @@ def _d1_cells(Q, domain, ctx, log_key, id_prefix=""):
     mults = list(rs.multiplicities())
     lead_abs = float(abs(Q.coeffs[-1]))
     m = ctx.m_sectors
-    outer = ctx.square if domain is None else domain.clipped
+    outer = ctx.square if domain is None else domain.sampling_polygon
     for j in range(len(mults)):
         b = locs[j]
         vor = tuple(
@@ -466,19 +461,18 @@ def _radial_structure(Q, b, ctx):
     merged = _merge_distances(radii)
     A = DYADIC_FACTOR
     chains = []
-    for rho, mu in merged:
+    for rho, _ in merged:
         if chains and rho <= chains[-1][1] * A * A:
-            lo, hi, cm = chains[-1]
-            chains[-1] = (lo, rho, cm + mu)
+            chains[-1] = (chains[-1][0], rho)
         else:
-            chains.append((rho, rho, mu))
+            chains.append((rho, rho))
 
     far = list(merged)  # (radius, mult) not yet absorbed
     intervals = []
     inside = m0
     edge = 0.0
 
-    for lo_r, hi_r, cm in chains:
+    for lo_r, hi_r in chains:
         gap_hi = lo_r / A
         if gap_hi > edge:
             intervals.append((edge, gap_hi, "gap", inside, _far_constant(lead_abs, far)))
@@ -510,7 +504,7 @@ def _d2_cells(Q, b, domain: Region, ctx, id_prefix):
             domain.theta_range,
             (lo2, hi2),
             working_half_width=ctx.half_width,
-            clipped=domain.clipped,
+            clipped=domain.sampling_polygon,
             region_id=f"{domain.region_id}|{id_prefix}{kind[0]}{idx}",
             parent_voronoi=domain.parent_voronoi,
         )
@@ -567,7 +561,7 @@ def _values_above_noise(poly: ComplexPolynomial, grids: _Grids):
     """
     vals, dvals = _horner_pair(poly.coeffs, grids.pts)
     swing = np.abs(dvals) * grids.pos_err
-    return vals, np.abs(vals) > 32.0 * _poly_noise_bound(poly.coeffs, grids.pts) + 8.0 * swing
+    return vals, np.abs(vals) > 32.0 * _eval_error_bound(poly.coeffs, grids.pts) + 8.0 * swing
 
 
 def _minimal_arcs(angles: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
@@ -649,9 +643,9 @@ def _split_region(region: Region, ctx):
             region.center,
             theta,
             radial,
-            thickening=min(region.thickening, _child_thickening(theta)),
+            thickening=_child_thickening(theta),
             working_half_width=ctx.half_width,
-            clipped=region.clipped,
+            clipped=region.sampling_polygon,
             region_id=f"{region.region_id}.r{i}",
             parent_voronoi=region.parent_voronoi,
             depth=region.depth + 1,

@@ -36,6 +36,23 @@ class TestTorsionTriple:
             assert tt.degenerate
             assert tt.L3.degree == -1
 
+    @pytest.mark.parametrize("scale", [2.0**-14, 2.0**-20])
+    def test_scaled_curves_keep_their_torsion(self, moment_curve, curve_mixed, scale):
+        # L3 and its rounding scale L3_magnitude both scale by scale**3.
+        for curve in (moment_curve, curve_mixed):
+            small = CurveGamma.from_components(*(scale * c for c in curve.components))
+            tt = torsion_triple(small)
+            assert not tt.degenerate
+            assert np.array_equal(tt.L3.coeffs, scale**3 * curve.torsion.L3.coeffs)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-20])
+    def test_dependent_and_quadratic_curves_stay_degenerate(self, rng, scale):
+        p1, p2, _ = random_curve(rng, 4).components
+        for comps in ((p1, p2, p1 + p2), random_curve(rng, 2).components):
+            tt = torsion_triple(CurveGamma.from_components(*(scale * c for c in comps)))
+            assert tt.degenerate
+            assert tt.L3.degree == -1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

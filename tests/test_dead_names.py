@@ -22,6 +22,12 @@ benchmark harness or the acceptance criteria, by keyword or by position.
 Calls match the function by name, as text, like the names above; a call
 that unpacks ``*args`` or ``**kwargs`` passes every parameter.  Nested
 functions are exempt.
+
+No function of the package, nested ones included, assigns a local name that
+it never reads; a read in a nested function or comprehension counts, and a
+nested function's names count for its enclosing function too.  An
+augmented assignment such as ``n += 1`` stores without reading, and names
+that start with ``_`` are exempt.
 """
 
 import ast
@@ -156,3 +162,21 @@ def test_no_public_names_used_only_by_tests():
     modules = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     used = _used_names("perfbench") | _referenced_in(modules + CRITERIA)
     assert _unused(used, public) == []
+
+
+def _unread_locals(func):
+    names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+    stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in stored - read if not name.startswith("_"))
+
+
+def test_no_dead_locals():
+    dead = [
+        f"{path.stem}.{func.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in _unread_locals(func)
+    ]
+    assert dead == []

@@ -30,7 +30,7 @@ from curvetorsion.geometry import (
 )
 from curvetorsion.polynomials import ComplexPolynomial, roots
 
-from conftest import from_roots, poly, validate
+from conftest import from_roots, poly, random_curve, validate
 
 EPS16 = 2 * math.pi / 112  # aperture pi/56, a divisor of 2*pi below pi/8
 # (z + z^2, z^3, -100 z^2): its first classification has inadmissible regions.
@@ -352,6 +352,29 @@ class TestClassify:
                 if covered.all():
                     break
             assert covered.all(), f"{name}: {np.count_nonzero(~covered)} uncovered"
+
+    def test_coverage_on_a_random_cubic(self):
+        curve = random_curve(np.random.default_rng(0), 3)
+        rep = classify_regions(torsion_triple(curve))
+        rng = np.random.default_rng(12)
+        zs = rep.working_radius * np.sqrt(rng.random(4000)) * np.exp(2j * np.pi * rng.random(4000))
+        covered = np.zeros(zs.shape, bool)
+        for r in rep.regions:
+            covered[~covered] = r.contains(zs[~covered])
+            if covered.all():
+                break
+        assert covered.all(), f"{np.count_nonzero(~covered)} of {zs.size} uncovered"
+
+    def test_scaled_curve_classifies_as_the_curve(self, suite_reports):
+        # Scaling the curve by a power of two scales L1, L2, L3 and the
+        # rounding bound of L3 exactly, so the cut of the plane is the same.
+        curve, _, rep = suite_reports["mixed"]
+        small = CurveGamma.from_components(*(2.0**-14 * c for c in curve.components))
+        scaled = classify_regions(torsion_triple(small))
+        assert [r.region_id for r in scaled.regions] == [r.region_id for r in rep.regions]
+        assert [r.sampling_polygon for r in scaled.regions] == [
+            r.sampling_polygon for r in rep.regions]
+        assert [r.apertures for r in scaled.regions] == [r.apertures for r in rep.regions]
 
     def test_comparability_fresh_samples_within_bound(self, suite_reports):
         for name, (_, tt, rep) in suite_reports.items():
