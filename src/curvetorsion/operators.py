@@ -10,14 +10,18 @@ each (function, dilation) once over its whole grid.  The kernel works
 through the batch in chunks, and its values do not depend on the chunk size.
 
 The Monte Carlo estimators share one sampling kernel.  ``convolve`` passes
-its one point z and its f; ``pairing`` passes f = chi_E and one point z of F
-per sample, because <T chi_E, chi_F> = |F| times the mean over z in F of
-T chi_E(z).  The random arrays (F's, then the disk's) are drawn whole, in
-a fixed order, and every per-sample value (the point z, the disk point w,
-Gamma(w), z - Gamma(w), lambda(w) and f) is built _CHUNK_SAMPLES rows at a
-time into one samples array.  The mean and the standard error are taken
-over that whole array, so memory is bounded per sample and the estimates do
-not depend on the chunk size.
+its one point z and its f; ``pairing`` passes f = chi_E, as complex values,
+and one point z of F per sample, because <T chi_E, chi_F> = |F| times the
+mean over z in F of T chi_E(z).  The random values are those of one PCG64
+stream drawn whole in a fixed order: F's (n, 6) block, a ball's radii, the
+disk's r, then its theta.  A ball's normals take a variable number of
+outputs, so they are drawn whole; every uniform takes exactly one, so each
+uniform array is read slice by slice from its own copy of the stream,
+advanced to where the array starts.  Every per-sample value (the point z,
+the disk point w, Gamma(w), z - Gamma(w), lambda(w) and f) is built
+_CHUNK_SAMPLES rows at a time into one samples array.  The mean and the
+standard error are taken over that whole array, so memory is bounded per
+sample and the estimates do not depend on the chunk size.
 
 The frequency pairing z . Gamma(w) is the real inner product of C^3 read as
 R^6: sum_j Re(z_j) Re(Gamma_j) + Im(z_j) Im(Gamma_j).  This convention is
@@ -27,6 +31,7 @@ fixed here and used everywhere.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +48,10 @@ _BALL6_UNIT_VOLUME = math.pi**3 / 6.0
 _CHUNK_POINTS = 128
 
 # Rows per slice of the Monte Carlo estimators: one complex (rows x 3)
-# temporary such as z - Gamma(w) is 3 MB.
-_CHUNK_SAMPLES = 65_536
+# temporary such as z - Gamma(w) is 192 KB, which stays in L2.  Of the
+# slice sizes 2,048 to 65,536, this one timed fastest on a 10^6-sample
+# ball pairing.
+_CHUNK_SAMPLES = 4_096
 
 _EXTENSION_REL_TOL = 1e-6
 
@@ -81,29 +88,6 @@ class MeasurableSet:
             return np.sum(np.abs(delta) ** 2, axis=-1) <= self.size**2
         coords = np.concatenate([delta.real, delta.imag], axis=-1)
         return np.max(np.abs(coords), axis=-1) <= self.size
-
-    def draw(self, n: int, rng) -> tuple:
-        """The random arrays behind n points, each with n rows.
-
-        A box draws an (n, 6) block of uniform coordinates; a ball draws an
-        (n, 6) block of normals, then n uniforms for the radii.
-        """
-        if self.kind == "box":
-            return (rng.uniform(-self.size, self.size, size=(n, 6)),)
-        return rng.standard_normal((n, 6)), rng.random(n)
-
-    def place(self, coords, u=None) -> np.ndarray:
-        """Points of the set from rows of ``draw``'s arrays.
-
-        Each output row depends only on the same row of ``coords`` and
-        ``u`` (a ball's uniforms), so slices of the draws map on their own.
-        """
-        center = np.asarray(self.center, dtype=np.complex128)
-        if self.kind == "ball":
-            norm = np.linalg.norm(coords, axis=1, keepdims=True)
-            radii = self.size * u ** (1.0 / 6.0)
-            coords = coords / norm * radii[:, None]
-        return center + coords[:, :3] + 1j * coords[:, 3:]
 
     def translate(self, v) -> "MeasurableSet":
         v = np.asarray(v, dtype=np.complex128).reshape(3)
@@ -200,8 +184,59 @@ def ball_measure_check(spec: BallSpec):
 
 
 def _row_slices(n: int, rows: int):
-    """Consecutive slices of ``rows`` rows covering n rows."""
-    return (slice(start, start + rows) for start in range(0, n, rows))
+    """Consecutive slices of at most ``rows`` rows covering n rows."""
+    return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
+
+
+def _stream_at(rng, skip: int):
+    """A generator reading rng's PCG64 stream from ``skip`` outputs past its
+    position; rng does not move.  Each value of ``random`` and ``uniform``
+    takes one 64-bit output, so a uniform array rng would draw later can be
+    read from here in consecutive pieces."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator.advance(skip))
+
+
+def _set_rows(S: MeasurableSet, n: int, rng):
+    """n points uniform in S, one _CHUNK_SAMPLES-row block at a time, with
+    the values of a whole draw from rng: a box's (n, 6) uniforms, or a
+    ball's (n, 6) normals, then n radius uniforms.
+
+    The normals take a variable number of outputs (ziggurat rejections), so
+    they are drawn now, whole.  Returns the blocks and the number of outputs
+    their uniforms take after rng's position on return.
+    """
+    center = np.asarray(S.center, dtype=np.complex128)
+    normals = rng.standard_normal((n, 6)) if S.kind == "ball" else None
+    stream = _stream_at(rng, 0)
+
+    def blocks():
+        for s in _row_slices(n, _CHUNK_SAMPLES):
+            if normals is None:
+                coords = stream.uniform(-S.size, S.size, size=(s.stop - s.start, 6))
+            else:
+                norm = np.linalg.norm(normals[s], axis=1, keepdims=True)
+                radii = S.size * stream.random(s.stop - s.start) ** (1.0 / 6.0)
+                coords = normals[s] / norm * radii[:, None]
+            yield center + coords[:, :3] + 1j * coords[:, 3:]
+
+    return blocks(), (6 * n if normals is None else n)
+
+
+def _disk_rows(disk_radius: float, n: int, rng, skip: int):
+    """n points uniform in the disk, one _CHUNK_SAMPLES-row block at a time,
+    with the values of a whole draw of r, then theta, from ``skip`` outputs
+    past rng's position."""
+    r_stream, theta_stream = _stream_at(rng, skip), _stream_at(rng, skip + n)
+
+    def blocks():
+        for s in _row_slices(n, _CHUNK_SAMPLES):
+            r = disk_radius * np.sqrt(r_stream.random(s.stop - s.start))
+            theta = 2.0 * math.pi * theta_stream.random(s.stop - s.start)
+            yield r * np.exp(1j * theta)
+
+    return blocks()
 
 
 def _complex_stderr(samples: np.ndarray, scale: float) -> float:
@@ -211,31 +246,31 @@ def _complex_stderr(samples: np.ndarray, scale: float) -> float:
     sample (Chan, Golub & LeVeque 1983).  The shift leaves the variance
     unchanged, and when all samples are equal the shifted data are exactly
     zero, so the result is exactly 0 whatever the summation order of the
-    mean.  Fewer than two samples give 0.
+    mean.  Fewer than two samples give 0.  ``samples`` is overwritten: it
+    is shifted in place, and its squared moduli go to its real part.
     """
     n = samples.size
     if n < 2:
         return 0.0
-    shifted = samples - samples.flat[0]
-    shifted -= shifted.mean()
-    var = float(np.mean(np.abs(shifted) ** 2)) * n / (n - 1)
+    samples -= samples.flat[0]
+    samples -= samples.mean()
+    power = np.abs(samples, out=samples.real)
+    power *= power
+    var = float(np.mean(power)) * n / (n - 1)
     return scale * math.sqrt(var / n)
 
 
-def _convolve_samples(curve: CurveGamma, f, points, disk_radius: float, n: int,
-                      rng) -> np.ndarray:
-    """f(z - Gamma(w)) lambda(w) at n uniform points w of the disk.
+def _convolve_samples(curve: CurveGamma, f, points, disk, n: int) -> np.ndarray:
+    """f(z - Gamma(w)) lambda(w) for n samples, built one _CHUNK_SAMPLES-row
+    slice at a time.
 
-    The disk's r and theta are drawn whole; every other array is built one
-    _CHUNK_SAMPLES-row slice at a time.  ``points(s)`` gives the z rows of
-    slice s, either one row shared by every sample or one row per sample.
+    ``points`` and ``disk`` yield each slice's z rows (one row shared by
+    every sample, or one row per sample) and its disk points w.  Only the
+    samples array and one slice of every other array are held here.
     """
-    r = disk_radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
     samples = None
-    for s in _row_slices(n, _CHUNK_SAMPLES):
-        w = r[s] * np.exp(1j * theta[s])
-        values = np.asarray(f(points(s) - curve(w))) * lambda_weight(curve.torsion, w)
+    for s, z, w in zip(_row_slices(n, _CHUNK_SAMPLES), points, disk):
+        values = np.asarray(f(z - curve(w))) * lambda_weight(curve.torsion, w)
         if samples is None:
             samples = np.empty(n, dtype=values.dtype)
         samples[s] = values
@@ -250,23 +285,18 @@ def convolve(curve: CurveGamma, f, z, disk_radius: float, n_mc: int, seed: int):
     samples.  Returns (value, stderr); the estimate is area(D) times the
     sample mean of f(z - Gamma(w)) lambda(w) over w uniform in the disk, and
     stderr is area(D) times the shifted two-pass sample standard error of
-    that mean, exactly 0 when all samples are equal.
+    that mean, exactly 0 when all samples are equal.  The disk's r and
+    theta are read slice by slice, with the values of a whole draw.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     rng = np.random.default_rng(seed)
     z = np.asarray(z, dtype=np.complex128).reshape(1, 3)
-    samples = _convolve_samples(curve, f, lambda s: z, disk_radius, n_mc, rng)
+    samples = _convolve_samples(curve, f, itertools.repeat(z),
+                                _disk_rows(disk_radius, n_mc, rng, 0), n_mc)
     area = math.pi * disk_radius**2
     value = complex(area * samples.mean())
     return value, _complex_stderr(samples, area)
-
-
-def _placed_rows(S: MeasurableSet, n: int, rng):
-    """Draw the arrays of n points of S whole; return the map from a slice
-    to its placed rows.  The draws live only as long as that map."""
-    draws = S.draw(n, rng)
-    return lambda s: S.place(*(a[s] for a in draws))
 
 
 def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
@@ -274,7 +304,9 @@ def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
     """Estimate <T chi_E, chi_F> and derive alpha, beta, and the weak-type ratio.
 
     One (z, w) pair per sample, z uniform in F and w uniform in the disk,
-    sampled by ``convolve``'s kernel with f = chi_E.  The identities
+    sampled by ``convolve``'s kernel with f = chi_E.  Of the random values,
+    drawn in the order F's block, a ball's radii, the disk's r, then theta,
+    only a ball's normals are held whole.  The identities
     alpha |F| = pairing = beta |E| hold exactly by construction; the
     weak-type ratio divides the pairing by |E|**(1/2) |F|**(2/3), and
     ``weak_type_gap`` reports alpha**4 beta**2 / |E| for the equivalent
@@ -285,11 +317,15 @@ def pairing(curve: CurveGamma, E: MeasurableSet, F: MeasurableSet,
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     rng = np.random.default_rng(seed)
-    samples = _convolve_samples(curve, E.contains, _placed_rows(F, n_mc, rng),
-                                disk_radius, n_mc, rng)
+    points, skip = _set_rows(F, n_mc, rng)
+    # Complex samples (imaginary part zero) let the standard error work in
+    # place; a complex copy of real samples would sit beside them.
+    samples = _convolve_samples(curve, lambda pts: E.contains(pts) + 0j, points,
+                                _disk_rows(disk_radius, n_mc, rng, skip), n_mc)
+    del points  # frees a ball's normals
     scale = F.volume * math.pi * disk_radius**2
-    est = float(scale * samples.mean())
-    stderr = _complex_stderr(samples.astype(np.complex128), scale)
+    est = float(scale * samples.real.mean())
+    stderr = _complex_stderr(samples, scale)
     alpha = est / F.volume
     beta = est / E.volume
     return WeakTypeReport(

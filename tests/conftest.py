@@ -1,10 +1,13 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curvetorsion import CurveGamma, classify_regions, torsion_triple
+from curvetorsion.curves import lambda_weight
+from curvetorsion.operators import _complex_stderr
 from curvetorsion.polynomials import ComplexPolynomial
 
 
@@ -95,3 +98,35 @@ def random_curve(rng, degree):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_sample(S, n, rng):
+    """n points uniform in the MeasurableSet S, drawn whole from rng in one pass."""
+    center = np.asarray(S.center, dtype=np.complex128)
+    if S.kind == "box":
+        coords = rng.uniform(-S.size, S.size, size=(n, 6))
+    else:
+        g = rng.standard_normal((n, 6))
+        norm = np.linalg.norm(g, axis=1, keepdims=True)
+        radii = S.size * rng.random(n) ** (1.0 / 6.0)
+        coords = g / norm * radii[:, None]
+    return center + coords[:, :3] + 1j * coords[:, 3:]
+
+
+def reference_disk(n, radius, rng):
+    """n points uniform in the disk, r then theta drawn whole from rng."""
+    r = radius * np.sqrt(rng.random(n))
+    theta = 2.0 * math.pi * rng.random(n)
+    return r * np.exp(1j * theta)
+
+
+def reference_pairing(curve, E, F, disk_radius, n, seed):
+    """``operators.pairing``'s samples, estimate and standard error from
+    whole draws of F's points, then the disk's."""
+    rng = np.random.default_rng(seed)
+    z = reference_sample(F, n, rng)
+    w = reference_disk(n, disk_radius, rng)
+    samples = np.where(E.contains(z - curve(w)), lambda_weight(curve.torsion, w), 0.0)
+    scale = F.volume * math.pi * disk_radius**2
+    est = float(scale * samples.mean())
+    return samples, est, _complex_stderr(samples.astype(np.complex128), scale)

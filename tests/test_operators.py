@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ from curvetorsion.cli import _scan_family
 from curvetorsion.curves import CurveGamma, lambda_weight
 from curvetorsion.operators import _complex_stderr, _extension_values
 
-from conftest import poly
+from conftest import poly, reference_disk, reference_pairing, reference_sample
 
 ONES = lambda pts: np.ones(pts.shape[0], dtype=complex)
 UNIT_DISK = lambda w: np.where(np.abs(w) <= 1.0, 1.0 + 0j, 0j)
@@ -44,7 +45,7 @@ class TestMeasurableSet:
 
     def test_membership_and_sampling(self, rng):
         ball = MeasurableSet(kind="ball", center=(1, 1j, 0), size=1.5)
-        pts = ball.place(*ball.draw(2000, rng))
+        pts = np.concatenate(list(operators._set_rows(ball, 2000, rng)[0]))
         assert ball.contains(pts).all()
         far = pts + 100.0
         assert not ball.contains(far).any()
@@ -74,8 +75,8 @@ class TestComplexStderr:
     @pytest.mark.parametrize("fill", [2.2894284851066637, 0.1 + 0.3j, -7.5])
     def test_constant_samples_exact_zero(self, n, fill):
         samples = np.full(n, fill)
-        assert _complex_stderr(samples, 1.0) == 0.0
         assert _complex_stderr(samples.astype(np.complex128), math.pi) == 0.0
+        assert _complex_stderr(samples, 1.0) == 0.0
 
     def test_matches_sample_std(self, rng):
         samples = 3.0 + rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
@@ -136,37 +137,26 @@ class TestPairing:
             MeasurableSet(kind="ball", center=(0, 0, 0), size=0.0)
 
 
-def _reference_sample(S, n, rng):
-    """MeasurableSet.sample as one whole-array pass, before its draw/place split."""
-    center = np.asarray(S.center, dtype=np.complex128)
-    if S.kind == "box":
-        coords = rng.uniform(-S.size, S.size, size=(n, 6))
-    else:
-        g = rng.standard_normal((n, 6))
-        norm = np.linalg.norm(g, axis=1, keepdims=True)
-        radii = S.size * rng.random(n) ** (1.0 / 6.0)
-        coords = g / norm * radii[:, None]
-    return center + coords[:, :3] + 1j * coords[:, 3:]
-
-
-def _reference_disk(n, radius, rng):
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    return r * np.exp(1j * theta)
-
-
 class TestMonteCarloChunks:
-    """The estimators build their samples in row slices of any size with the same bytes."""
+    """The estimators stream their draws in row slices of any size with the
+    bytes of whole draws."""
 
     N_MC = 2003  # a multiple of neither 7 nor the default slice
     CHUNKS = (1, 7, operators._CHUNK_SAMPLES)
+    # One sample, less than a slice, two slices, and one row into a third.
+    SIZES = (1, 7, 2 * operators._CHUNK_SAMPLES, 2 * operators._CHUNK_SAMPLES + 1)
 
     @pytest.mark.parametrize("kind", ["ball", "box"])
     def test_sample_matches_reference(self, kind):
         S = MeasurableSet(kind=kind, center=(1, 1j, 0), size=1.5)
-        for n in (1, self.N_MC):
-            got = S.place(*S.draw(n, np.random.default_rng(4)))
-            assert got.tobytes() == _reference_sample(S, n, np.random.default_rng(4)).tobytes()
+        for n in (self.N_MC,) + self.SIZES:
+            rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+            points, skip = operators._set_rows(S, n, rng)
+            got = np.concatenate(list(points))
+            assert got.tobytes() == reference_sample(S, n, ref_rng).tobytes()
+            # The uniforms after F's are where a whole draw would leave them.
+            after = operators._stream_at(rng, skip).random(3)
+            assert after.tobytes() == ref_rng.random(3).tobytes()
 
     @pytest.mark.parametrize("seed", [5, 11, 12])
     @pytest.mark.parametrize("f_kind", ["ball", "box"])
@@ -175,60 +165,87 @@ class TestMonteCarloChunks:
                                           seed):
         E = MeasurableSet(kind=e_kind, center=(0.1, 0.2j, 0), size=1.0)
         F = MeasurableSet(kind=f_kind, center=(0, 0.3, 0.1j), size=0.8)
-        rng = np.random.default_rng(seed)
-        z = _reference_sample(F, self.N_MC, rng)
-        w = _reference_disk(self.N_MC, 1.0, rng)
-        reference = np.where(E.contains(z - moment_curve(w)),
-                             lambda_weight(moment_curve.torsion, w), 0.0)
+        reference, est, stderr = reference_pairing(moment_curve, E, F, 1.0, self.N_MC, seed)
         assert 0 < np.count_nonzero(reference) < self.N_MC
-        reports = set()
         for chunk in self.CHUNKS:
             monkeypatch.setattr(operators, "_CHUNK_SAMPLES", chunk)
             rng = np.random.default_rng(seed)
+            points, skip = operators._set_rows(F, self.N_MC, rng)
             samples = operators._convolve_samples(
-                moment_curve, E.contains, operators._placed_rows(F, self.N_MC, rng), 1.0,
-                self.N_MC, rng)
+                moment_curve, E.contains, points,
+                operators._disk_rows(1.0, self.N_MC, rng, skip), self.N_MC)
             assert samples.tobytes() == reference.tobytes()
             rep = pairing(moment_curve, E, F, 1.0, self.N_MC, seed)
-            reports.add(tuple(float(v).hex() for v in vars(rep).values()))
-        assert len(reports) == 1
+            assert (rep.pairing.hex(), rep.mc_stderr.hex()) == (est.hex(), stderr.hex())
 
     @pytest.mark.parametrize("seed", [5, 11, 12])
     def test_convolve_chunk_size_invariant(self, moment_curve, monkeypatch, seed):
         f = lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1)) * (1 + pts[:, 0])
         z = np.array([0.1, 0.2, 0.3j]).reshape(1, 3)
-        w = _reference_disk(self.N_MC, 1.3, np.random.default_rng(seed))
+        w = reference_disk(self.N_MC, 1.3, np.random.default_rng(seed))
         reference = f(z - moment_curve(w)) * lambda_weight(moment_curve.torsion, w)
         results = set()
         for chunk in self.CHUNKS:
             monkeypatch.setattr(operators, "_CHUNK_SAMPLES", chunk)
-            samples = operators._convolve_samples(moment_curve, f, lambda s: z, 1.3,
-                                                  self.N_MC, np.random.default_rng(seed))
+            disk = operators._disk_rows(1.3, self.N_MC, np.random.default_rng(seed), 0)
+            samples = operators._convolve_samples(moment_curve, f, itertools.repeat(z), disk,
+                                                  self.N_MC)
             assert samples.dtype == reference.dtype
             assert samples.tobytes() == reference.tobytes()
             value, stderr = convolve(moment_curve, f, z, 1.3, self.N_MC, seed)
             results.add((value.real.hex(), value.imag.hex(), stderr.hex()))
         assert len(results) == 1
 
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("f_kind", ["ball", "box"])
+    def test_pairing_sizes_match_whole_draws(self, moment_curve, f_kind, n):
+        E = MeasurableSet(kind="ball", center=(0.1, 0.2j, 0), size=1.0)
+        F = MeasurableSet(kind=f_kind, center=(0, 0.3, 0.1j), size=0.8)
+        _, est, stderr = reference_pairing(moment_curve, E, F, 1.0, n, 3)
+        rep = pairing(moment_curve, E, F, 1.0, n, 3)
+        assert (rep.pairing.hex(), rep.mc_stderr.hex()) == (est.hex(), stderr.hex())
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_convolve_sizes_match_whole_draws(self, moment_curve, n):
+        f = lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1)) * (1 + pts[:, 0])
+        z = np.array([0.1, 0.2, 0.3j])
+        w = reference_disk(n, 1.3, np.random.default_rng(3))
+        reference = f(z - moment_curve(w)) * lambda_weight(moment_curve.torsion, w)
+        area = math.pi * 1.3**2
+        expected = complex(area * reference.mean()), _complex_stderr(reference, area)
+        assert convolve(moment_curve, f, z, 1.3, n, 3) == expected
+
+    # Bytes per sample at 4,096-row slices of 200,000 samples.  A ball F
+    # holds its (n, 6) normals and the complex samples, 64 B, plus one slice
+    # of temporaries (about 6 B); it read 85 B with whole draws.  A box F
+    # and ``convolve`` hold the complex samples and one slice (about 4-6 B),
+    # and the standard error adds nothing; they read 76 B and 40 B with
+    # whole draws.
     @pytest.mark.parametrize("f_kind", ["ball", "box"])
     def test_pairing_memory_per_sample(self, moment_curve, monkeypatch, f_kind):
-        # The whole draws (F's (n, 6) block, a ball's radii, the disk's r and
-        # theta) and the samples hold 80 B per sample for a ball F; evaluating
-        # every step at full length held about 200, and keeping F's draws
-        # alive through the mean and standard error 104 (96 for a box F).
-        # Small slices keep the slice temporaries out of the count.
         monkeypatch.setattr(operators, "_CHUNK_SAMPLES", 4096)
-        n = 200_000
         E = MeasurableSet(kind="ball", center=(0, 0, 0), size=1.0)
         F = MeasurableSet(kind=f_kind, center=(0, 0, 0), size=1.0)
-        pairing(moment_curve, E, F, 1.0, 10, seed=0)
-        tracemalloc.start()
-        try:
-            pairing(moment_curve, E, F, 1.0, n, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / n < 90
+        peak = _peak_bytes_per_sample(lambda n: pairing(moment_curve, E, F, 1.0, n, seed=5))
+        assert peak < {"ball": 72, "box": 24}[f_kind]
+
+    def test_convolve_memory_per_sample(self, moment_curve, monkeypatch):
+        monkeypatch.setattr(operators, "_CHUNK_SAMPLES", 4096)
+        f = lambda pts: np.exp(-np.sum(np.abs(pts) ** 2, axis=1)) * (1 + pts[:, 0])
+        peak = _peak_bytes_per_sample(lambda n: convolve(moment_curve, f, np.zeros(3), 1.0,
+                                                         n, seed=5))
+        assert peak < 22
+
+
+def _peak_bytes_per_sample(estimate, n=200_000):
+    """tracemalloc's peak during ``estimate(n)``, per sample, after a warm-up call."""
+    estimate(10)
+    tracemalloc.start()
+    try:
+        estimate(n)
+        return tracemalloc.get_traced_memory()[1] / n
+    finally:
+        tracemalloc.stop()
 
 
 class TestBallMeasure:
