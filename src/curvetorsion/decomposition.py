@@ -53,7 +53,6 @@ SQUARE_FACTOR = 1.25
 _REFINE_DEPTH_CAP = 48
 # Boundary points per region for the aperture and comparability measurements.
 _REFINE_SAMPLES = 400
-_COMPARABILITY_SAMPLES = 500
 # Region count refinement never splits past: a level whose splits could
 # take the leaves beyond it is flagged instead.
 REGION_BUDGET = 20_000
@@ -145,7 +144,6 @@ class Region:
     parent_voronoi: int
     region_id: str
     unbounded: bool
-    thickening: float
     sigma: SigmaExponents | None = None
     comparability: dict = field(default_factory=dict)
     comparability_stats: dict = field(default_factory=dict)
@@ -286,7 +284,6 @@ def _build_region(
         parent_voronoi=parent_voronoi,
         region_id=region_id,
         unbounded=unbounded,
-        thickening=B,
         depth=depth,
     )
 
@@ -584,29 +581,59 @@ def _minimal_arcs(angles: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
     return np.where(counts > 1, TAU - widest, 0.0)
 
 
-def _measure_apertures(regions, polys: dict):
-    """Argument apertures of each polynomial over each region's boundary,
-    stored in ``region.apertures``; measured _CHUNK_REGIONS at a time.
+def _measure(regions, polys: dict):
+    """Argument apertures and comparability extremes of each polynomial
+    over each region's boundary, stored in ``region.apertures`` and
+    ``region.comparability_stats``; one boundary grid and one evaluation
+    per polynomial for each _CHUNK_REGIONS regions.
 
     The argument of a zero-free analytic function on a convex cell takes
-    its extremes on the boundary, so a deterministic boundary grid bounds
-    every interior sample.  Zeros sit only at cell corners by construction
-    and are skipped.
+    its extremes on the boundary, and so does the log of
+    |L| / (c |z - b|**k), which is harmonic there (roots and centers sit
+    at corners at worst), so the boundary grid bounds every interior
+    sample.  Corner points at roundoff level are skipped.  A zero
+    constant, a zero polynomial or no usable point gives
+    ``{"zero": True}``.
     """
     for start in range(0, len(regions), _CHUNK_REGIONS):
         batch = regions[start:start + _CHUNK_REGIONS]
         grids = _boundary_grids(batch, _REFINE_SAMPLES)
-        for region in batch:
-            region.apertures = {}
+        arcs, extremes = {}, {}
         for name, poly in polys.items():
-            if poly.degree <= 0:
-                apertures = np.zeros(len(batch))
-            else:
-                vals, kept = _values_above_noise(poly, grids)
-                apertures = _minimal_arcs(np.mod(np.angle(vals[kept]), TAU),
-                                          grids.seg[kept], len(batch))
-            for region, aperture in zip(batch, apertures.tolist()):
-                region.apertures[name] = aperture
+            vals, kept = _values_above_noise(poly, grids)
+            arcs[name] = (np.zeros(len(batch)) if poly.degree <= 0 else _minimal_arcs(
+                np.mod(np.angle(vals[kept]), TAU), grids.seg[kept], len(batch))).tolist()
+            comps = [r.comparability[name] for r in batch]
+            center = np.array([comp.center for comp in comps], dtype=np.complex128)[grids.seg]
+            k = np.array([comp.k for comp in comps])[grids.seg]
+            c = np.array([comp.c for comp in comps], dtype=np.float64)[grids.seg]
+            dist = np.abs(grids.pts - center)
+            # Grouped by k, every power takes numpy's scalar-exponent path.
+            power = np.empty_like(dist)
+            for kk in {comp.k for comp in comps}:
+                sel = k == kk
+                power[sel] = dist[sel] ** kk
+            denom = c * power
+            good = (denom > 0) & (dist > 4.0 * grids.pos_err) & kept
+            ratio = np.full(dist.shape, np.nan)
+            np.divide(np.abs(vals), denom, out=ratio, where=good)
+            valid = np.isfinite(ratio) & (ratio > 0)
+            extremes[name] = list(zip(
+                np.logical_or.reduceat(valid, grids.starts).tolist(),
+                np.minimum.reduceat(np.where(valid, ratio, np.inf), grids.starts).tolist(),
+                np.maximum.reduceat(np.where(valid, ratio, -np.inf), grids.starts).tolist(),
+            ))
+        for i, region in enumerate(batch):
+            region.apertures = {name: arcs[name][i] for name in polys}
+            stats = {}
+            for name in region.comparability:
+                found, lo, hi = extremes[name][i]
+                stats[name] = {
+                    "min_ratio": lo,
+                    "max_ratio": hi,
+                    "ratio_bound": 1.25 * max(hi, 1.0 / lo),
+                } if found else {"zero": True}
+            region.comparability_stats = stats
 
 
 def _child_thickening(theta_range) -> float:
@@ -666,11 +693,12 @@ def _refine_regions(regions, polys: dict, ctx):
     A small margin below the budget absorbs the discretization gap between
     the boundary grid used here and whatever sampling a later check uses.
     The refinement tree is built a level at a time: each level is measured
-    in one call, and each region over its budget becomes a (region, kids)
-    node.  Regions at the depth cap or without children are flagged.  When
-    splitting a level's over-budget regions could take the leaves past
-    REGION_BUDGET, those regions are all flagged instead and the tree
-    stops.  The leaves are returned in the order of a last-in first-out
+    in one ``_measure`` call, which also stores the comparability extremes
+    that a leaf keeps, and each region over its budget becomes a
+    (region, kids) node.  Regions at the depth cap or without children are
+    flagged.  When splitting a level's over-budget regions could take the
+    leaves past REGION_BUDGET, those regions are all flagged instead and
+    the tree stops.  The leaves are returned in the order of a last-in first-out
     walk of the finished tree.
     """
     limits = {
@@ -680,7 +708,7 @@ def _refine_regions(regions, polys: dict, ctx):
     nodes = [(region, []) for region in regions]
     level, leaves = nodes, 0
     while level:
-        _measure_apertures([region for region, _ in level], polys)
+        _measure([region for region, _ in level], polys)
         over = [(region, kids) for region, kids in level
                 if any(region.apertures[name] > limit for name, limit in limits.items())]
         stop = leaves + len(level) + len(over) > REGION_BUDGET
@@ -700,55 +728,6 @@ def _refine_regions(regions, polys: dict, ctx):
         else:
             out.append(region)
     return out
-
-
-def _measure_comparability(regions, polys: dict):
-    """Extremes of |L| / (c |z - b|**k) over each region's boundary,
-    stored in ``region.comparability_stats``; measured _CHUNK_REGIONS at a
-    time.
-
-    The log of the ratio is harmonic on the cell (roots and centers sit at
-    corners at worst), so boundary extremes bound every interior sample;
-    corner points at roundoff level are dropped as in the aperture test.
-    A zero constant, a zero polynomial or no usable point gives
-    ``{"zero": True}``.
-    """
-    for start in range(0, len(regions), _CHUNK_REGIONS):
-        batch = regions[start:start + _CHUNK_REGIONS]
-        grids = _boundary_grids(batch, _COMPARABILITY_SAMPLES)
-        extremes = {}
-        for name, poly in polys.items():
-            comps = [r.comparability[name] for r in batch]
-            center = np.array([comp.center for comp in comps], dtype=np.complex128)[grids.seg]
-            k = np.array([comp.k for comp in comps])[grids.seg]
-            c = np.array([comp.c for comp in comps], dtype=np.float64)[grids.seg]
-            vals, kept = _values_above_noise(poly, grids)
-            dist = np.abs(grids.pts - center)
-            # Grouped by k, every power takes numpy's scalar-exponent path.
-            power = np.empty_like(dist)
-            for kk in {comp.k for comp in comps}:
-                sel = k == kk
-                power[sel] = dist[sel] ** kk
-            denom = c * power
-            good = (denom > 0) & (dist > 4.0 * grids.pos_err) & kept
-            ratio = np.full(dist.shape, np.nan)
-            np.divide(np.abs(vals), denom, out=ratio, where=good)
-            valid = np.isfinite(ratio) & (ratio > 0)
-            extremes[name] = list(zip(
-                np.logical_or.reduceat(valid, grids.starts).tolist(),
-                np.minimum.reduceat(np.where(valid, ratio, np.inf), grids.starts).tolist(),
-                np.maximum.reduceat(np.where(valid, ratio, -np.inf), grids.starts).tolist(),
-            ))
-        for i, region in enumerate(batch):
-            stats = {}
-            for name in region.comparability:
-                found, lo, hi = extremes[name][i]
-                stats[name] = {
-                    "min_ratio": lo,
-                    "max_ratio": hi,
-                    "ratio_bound": 1.25 * max(hi, 1.0 / lo),
-                } if found else {"zero": True}
-            region.comparability_stats = stats
 
 
 def _split_by(Q, b, domain: Region, ctx: _Context, name: str):
@@ -825,10 +804,8 @@ def _admissible_walk(ctx: _Context, polys: dict) -> list | None:
 
 def _finish(regions, ctx: _Context, polys: dict, seed: int) -> DecompositionReport:
     """Refine and measure the walk's regions, and report them."""
-    regions = _refine_regions(regions, polys, ctx)
-    _measure_comparability(regions, polys)
     return DecompositionReport(
-        regions=regions,
+        regions=_refine_regions(regions, polys, ctx),
         epsilon_used=ctx.eps,
         working_radius=ctx.working_radius,
         seed=seed,
@@ -838,7 +815,7 @@ def _finish(regions, ctx: _Context, polys: dict, seed: int) -> DecompositionRepo
 
 def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
                      seed: int = 0) -> DecompositionReport:
-    """Full classification pipeline over the torsion triple, in three stages.
+    """Full classification pipeline over the torsion triple, in two stages.
 
     1. Walk: the torsion polynomial is decomposed first; each cell is then
        split radially by the L1 root radii into gap pieces (T0 side) and
@@ -854,8 +831,9 @@ def classify_regions(tt: TorsionTriple, eps: float | None = None, *,
        (deg L_i + 1) * eps; regions at the depth cap are flagged, and so is
        every over-budget region of a level whose splits could take the
        report past REGION_BUDGET regions.  Children keep their parent's
-       sigma, so the walk already decides admissibility.
-    3. Measure: the comparability ratio extremes of every refined region.
+       sigma, so the walk already decides admissibility.  The boundary
+       grid that measures a region's apertures also gives its
+       comparability ratio extremes.
 
     The walk runs whole, so inadmissible regions are reported too.
     ``eps`` None picks 2*pi / (28 * (d + 1)) for the largest degree d.

@@ -65,8 +65,9 @@ def jacobian_direct(curve: CurveGamma, t: Triple) -> complex:
     return complex(_interleaved_jacobian(curve, np.array(t, dtype=np.complex128))[0])
 
 
-def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> float:
-    """Distance from the nearest L1/L2 zero to the triangle hull of the triple.
+def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> None:
+    """Check that no L1/L2 zero lies within ``margin`` of the triangle hull
+    of the triple.
 
     All integration segments (the two outer ones and the inner family they
     sweep) lie inside the hull, so one distance test covers them all.
@@ -74,15 +75,12 @@ def check_triple_clear(tt: TorsionTriple, t: Triple, margin: float = 1e-6) -> fl
     Raises SegmentHitsSingularity below the margin, and when a distance is
     NaN (the hull's coordinates overflow it).
     """
-    best = math.inf
     for p in tt.singular_points:
         dist = dist_point_triangle(p, t.z1, t.z2, t.z3)
         if not dist >= margin:
             raise SegmentHitsSingularity(
                 f"integrand pole within {dist:.3e} of an integration segment"
             )
-        best = min(best, dist)
-    return best
 
 
 def _outer_segments(z1: complex, z2: complex, z3: complex, n: int):

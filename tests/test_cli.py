@@ -501,7 +501,7 @@ class TestOutputStep:
         curve_file = write_curve(tmp_path, curve)
         refined, measured = [], []
         real_refine = decomposition._refine_regions
-        real_measure = decomposition._measure_comparability
+        real_measure = decomposition._measure
 
         def counting_refine(*args):
             refined.append(args[0])
@@ -512,7 +512,7 @@ class TestOutputStep:
             return real_measure(regions, *args)
 
         monkeypatch.setattr(decomposition, "_refine_regions", counting_refine)
-        monkeypatch.setattr(decomposition, "_measure_comparability", counting_measure)
+        monkeypatch.setattr(decomposition, "_measure", counting_measure)
         out = tmp_path / "out"
         res = RUNNER.invoke(main, ["analyze", str(curve_file), "--seed", "7",
                                    "--samples", "10", "--out", str(out)])

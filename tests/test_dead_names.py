@@ -28,6 +28,11 @@ it never reads; a read in a nested function or comprehension counts, and a
 nested function's names count for its enclosing function too.  An
 augmented assignment such as ``n += 1`` stores without reading, and names
 that start with ``_`` are exempt.
+
+Every field of a module-level dataclass of the package is read as an
+attribute by a package module, the benchmark harness or the acceptance
+criteria.  Fields are matched by name alone, as text, like methods; a class
+whose ``to_json`` serializes ``vars(self)`` reads all its fields.
 """
 
 import ast
@@ -178,5 +183,48 @@ def test_no_dead_locals():
         for func in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for name in _unread_locals(func)
+    ]
+    assert dead == []
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _serializes_vars(cls):
+    """Whether the class's ``to_json`` calls ``vars(self)``."""
+    return any(
+        isinstance(method, ast.FunctionDef) and method.name == "to_json"
+        and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars"
+                and [getattr(arg, "id", None) for arg in node.args] == ["self"]
+                for node in ast.walk(method))
+        for method in cls.body
+    )
+
+
+def _attribute_reads(paths):
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_no_unread_dataclass_fields():
+    modules = sorted(PACKAGE.glob("*.py"))
+    read = _attribute_reads(modules + sorted((ROOT / "perfbench").rglob("*.py")) + CRITERIA)
+    dead = [
+        f"{path.stem}.{cls.name}.{field.target.id}"
+        for path in modules
+        for cls in ast.parse(path.read_text(), str(path)).body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) and not _serializes_vars(cls)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
     ]
     assert dead == []

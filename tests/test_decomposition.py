@@ -203,7 +203,7 @@ class TestConvexify:
         cell_points = r * np.exp(1j * th)
         assert point_in_polygon(cell_points, region.polygon, tol=1e-9).all()
         # vertices stay within the thickened radii and the sector slack
-        B = region.thickening
+        B = decomposition.THICKENING
         for v in region.polygon:
             assert 1.0 / B - 1e-12 <= abs(v) <= 2.0 * B + 1e-12
 
@@ -252,6 +252,15 @@ class TestSigmaTable:
         # sigma2 + sigma3/2 exactly 0 is admissible; exactly -2 is not
         assert admissible(SigmaExponents("T11", 0, 0, 1, (0, 1, -2)))
         assert not admissible(SigmaExponents("T10", 0, 0, 0, (1, -2, 0)))
+
+
+@pytest.fixture(scope="module")
+def random_cubic():
+    """(curve, triple, report) of the seed-0 random cubic, classified once
+    for the module: 10,853 regions."""
+    curve = random_curve(np.random.default_rng(0), 3)
+    tt = torsion_triple(curve)
+    return curve, tt, classify_regions(tt)
 
 
 class TestClassify:
@@ -321,7 +330,10 @@ class TestClassify:
                 continue
             lo, hi = r.radial_range
             t0, t1 = r.theta_range
-            B = r.thickening
+            # Walk cells are built with THICKENING, refinement children
+            # with the smallest thickening their aperture tolerates.
+            B = (decomposition.THICKENING if r.depth == 0
+                 else decomposition._child_thickening(r.theta_range))
             for v in r.polygon:
                 d = abs(v - r.center)
                 assert d >= lo / B - 1e-9 * (1 + lo)
@@ -353,9 +365,8 @@ class TestClassify:
                     break
             assert covered.all(), f"{name}: {np.count_nonzero(~covered)} uncovered"
 
-    def test_coverage_on_a_random_cubic(self):
-        curve = random_curve(np.random.default_rng(0), 3)
-        rep = classify_regions(torsion_triple(curve))
+    def test_coverage_on_a_random_cubic(self, random_cubic):
+        _, _, rep = random_cubic
         rng = np.random.default_rng(12)
         zs = rep.working_radius * np.sqrt(rng.random(4000)) * np.exp(2j * np.pi * rng.random(4000))
         covered = np.zeros(zs.shape, bool)
@@ -376,8 +387,8 @@ class TestClassify:
             r.sampling_polygon for r in rep.regions]
         assert [r.apertures for r in scaled.regions] == [r.apertures for r in rep.regions]
 
-    def test_comparability_fresh_samples_within_bound(self, suite_reports):
-        for name, (_, tt, rep) in suite_reports.items():
+    def test_comparability_fresh_samples_within_bound(self, suite_reports, random_cubic):
+        for _, tt, rep in [*suite_reports.values(), random_cubic]:
             polys = {"L1": tt.L1, "L2": tt.L2, "L3": tt.L3}
             step = max(1, rep.region_count // 60)
             for i, r in enumerate(rep.regions[::step]):
@@ -500,11 +511,11 @@ class TestClippedPolygon:
 @pytest.fixture(scope="module")
 def retry_run():
     """The retry curve classified, then retried with its refinements and
-    the regions passed to the batched comparability measurement counted."""
+    the regions passed to the batched boundary measurement counted."""
     rep = classify_regions(torsion_triple(RETRY_CURVE))
     counts = {"refined": 0, "measured": 0}
     real_refine = decomposition._refine_regions
-    real_measure = decomposition._measure_comparability
+    real_measure = decomposition._measure
 
     def counting_refine(*args):
         counts["refined"] += 1
@@ -516,7 +527,7 @@ def retry_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decomposition, "_refine_regions", counting_refine)
-        mp.setattr(decomposition, "_measure_comparability", counting_measure)
+        mp.setattr(decomposition, "_measure", counting_measure)
         retried = affine_retry(RETRY_CURVE, rep)
     return rep, retried, counts
 
@@ -637,7 +648,7 @@ def reference_apertures(region, polys):
 
 def reference_comparability(region, polys):
     stats = {}
-    pts, pos_err = _reference_grid(region, decomposition._COMPARABILITY_SAMPLES)
+    pts, pos_err = _reference_grid(region, decomposition._REFINE_SAMPLES)
     for name, (center, k, c) in region.comparability.items():
         poly = polys[name]
         if c == 0.0 or poly.degree < 0:
@@ -725,10 +736,31 @@ class TestBatchedMeasurement:
         if chunk is not None:
             monkeypatch.setattr(decomposition, "_CHUNK_REGIONS", chunk)
         for polys, regions, apertures, stats in measured_sets:
-            decomposition._measure_apertures(regions, polys)
-            decomposition._measure_comparability(regions, polys)
+            decomposition._measure(regions, polys)
             assert [r.apertures for r in regions] == apertures
             assert [r.comparability_stats for r in regions] == stats
+
+    def test_one_grid_per_measured_region(self, monkeypatch, curve_mixed):
+        # Apertures and comparability extremes come from one boundary grid,
+        # so every region the refinement measures is gridded exactly once.
+        measured, gridded = [], []
+        real_measure = decomposition._measure
+        real_grids = decomposition._boundary_grids
+
+        def counting_measure(regions, *args):
+            measured.extend(r.region_id for r in regions)
+            return real_measure(regions, *args)
+
+        def counting_grids(regions, *args):
+            gridded.extend(r.region_id for r in regions)
+            return real_grids(regions, *args)
+
+        monkeypatch.setattr(decomposition, "_measure", counting_measure)
+        monkeypatch.setattr(decomposition, "_boundary_grids", counting_grids)
+        rep = classify_regions(torsion_triple(curve_mixed))
+        assert gridded == measured
+        assert len(set(measured)) == len(measured) == 4980
+        assert rep.region_count == 3872
 
     # The mixed curve walks to 2,792 regions, 240 of them over their
     # aperture budget, and refines to 3,872.

@@ -40,7 +40,7 @@ def convex_polygons(draw, min_size=3, max_size=8):
 def region_of(poly):
     return Region(center=0j, theta_range=None, radial_range=(0.0, math.inf),
                   sampling_polygon=tuple(poly), parent_voronoi=0,
-                  region_id="test", unbounded=False, thickening=1.1)
+                  region_id="test", unbounded=False)
 
 
 def seeded_polygon(rng, squeeze):
